@@ -76,13 +76,14 @@ def rank_schemes(
 ) -> list[SchemeReport]:
     """Score every scheme and sort by ascending information loss.
 
-    Ties are broken by subset count, then lexicographic subset order, so the
-    ranking is deterministic.
+    Losses are compared at the 9 decimals the CLI prints, so float noise
+    cannot order schemes whose printed losses are equal; such ties are broken
+    by subset count, then lexicographic subset order.
     """
     if not schemes:
         raise ValueError("ranking requires at least one scheme")
     reports = [information_loss(i, scheme) for scheme in schemes]
-    reports.sort(key=lambda r: (r.loss, r.scheme.sort_key()))
+    reports.sort(key=lambda r: (round(r.loss, 9), r.scheme.sort_key()))
     return reports
 
 

@@ -217,6 +217,18 @@ def test_rank_schemes_deterministic_tie_break(abc_i):
     assert [r.loss for r in first] == [r.loss for r in second]
 
 
+def test_rank_schemes_ties_at_printed_precision_go_by_sort_key():
+    # Two schemes whose losses differ only in float noise print the same
+    # 9-decimal loss; the tie must then go by Scheme.sort_key().
+    sp = Space(tuple(Variable(f"V{k}", ("0", "1")) for k in (1, 2, 3)))
+    i = random_interval(np.random.default_rng(4), sp)
+    reports = rank_schemes(i, enumerate_schemes(sp, 2))
+    keys = [(round(r.loss, 9), r.scheme.sort_key()) for r in reports]
+    assert keys == sorted(keys)
+    tied = [str(r.scheme) for r in reports if round(r.loss, 9) == 0.294967616]
+    assert tied == ["V1,V2|V1,V3", "V1,V3|V2,V3"]
+
+
 def test_rank_respects_refinement_order():
     rng = np.random.default_rng(101)
     sp = Space(
