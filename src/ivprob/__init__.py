@@ -3,8 +3,9 @@
 The package models per-cell probability intervals, computes the exact joint
 envelopes a database of (interval) marginal tables admits, projects and
 reconstructs distributions across database schemes, and quantifies the
-uncertainty and information loss involved — all with exact linear programs
-rather than endpoint arithmetic.
+uncertainty and information loss involved — all exact, not endpoint
+arithmetic: database envelopes by linear programming, single-table bounds in
+closed form.
 """
 
 from .errors import (

@@ -7,8 +7,11 @@ distribution's box: the marginal bounds are min/max of fiber sums, not sums of
 endpoints.  Reconstruction composes the two — project onto a scheme, then take
 the envelope of the projected database — and measures what the scheme forgot.
 
-Every endpoint returned by these functions is attained by a feasible witness
-(the corresponding LP solution); the envelopes are exact, not outer bounds.
+Every endpoint returned by these functions is attained by a feasible joint;
+the envelopes are exact, not outer bounds.  Over a single box the endpoints
+have a closed form, the reachable bounds of probability intervals (de Campos,
+Huete & Moral, IJUFKS 1994); a database envelope takes two linear programs
+per joint cell, each attained by its LP witness.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from .model import (
     Scheme,
     Space,
 )
-from .polytope import (
-    OPTIMAL,
-    ConstraintSystem,
-    constraints_from_box,
-    constraints_from_database,
-    optimize,
-)
+from .polytope import OPTIMAL, ConstraintSystem, constraints_from_database, optimize
 
 
 def _extreme(cs: ConstraintSystem, objective: np.ndarray, direction: str) -> float:
@@ -41,31 +38,31 @@ def _extreme(cs: ConstraintSystem, objective: np.ndarray, direction: str) -> flo
     return outcome.value
 
 
-def _interval_envelope(
-    cs: ConstraintSystem, objectives: np.ndarray, space: Space
-) -> IntervalDistribution:
-    """Min/max of each objective row over the system, as one table per row.
-
-    Runs a single feasibility probe first so an empty system fails with one
-    clear error instead of on an arbitrary cell.
-    """
-    probe = optimize(cs, np.zeros(cs.space.cell_count), "max")
-    if probe.status != OPTIMAL:
-        raise InfeasibleError(
-            "no joint distribution satisfies the constraints",
-            infeasibility=probe.infeasibility,
-        )
-    k = objectives.shape[0]
-    lower = np.empty(k)
-    upper = np.empty(k)
-    for t in range(k):
-        lower[t] = _extreme(cs, objectives[t], "min")
-        upper[t] = _extreme(cs, objectives[t], "max")
+def _scrubbed(space: Space, lower: np.ndarray, upper: np.ndarray) -> IntervalDistribution:
     # Endpoints are probabilities of (sums of) cells; scrub float dust.
     lower = np.clip(lower, 0.0, 1.0)
     upper = np.clip(upper, 0.0, 1.0)
-    lower = np.minimum(lower, upper)
-    return IntervalDistribution(space, lower, upper)
+    return IntervalDistribution(space, np.minimum(lower, upper), upper)
+
+
+def _box_envelope(
+    i: IntervalDistribution, pm: np.ndarray, space: Space
+) -> IntervalDistribution:
+    """Min/max of every fiber sum over ``{p : i.lower <= p <= i.upper, sum(p) = 1}``.
+
+    Cell ``j`` of ``i`` belongs to fiber ``pm[j]`` of ``space``.  A fiber ``S``
+    can hold at least ``max(sum_S lower, 1 - sum_notS upper)`` and at most
+    ``min(sum_S upper, 1 - sum_notS lower)``, and both are attained: the
+    reachable bounds of probability intervals (de Campos, Huete & Moral,
+    IJUFKS 1994).
+    """
+    i.require_valid()
+    k = space.cell_count
+    low = np.bincount(pm, weights=i.lower, minlength=k)
+    high = np.bincount(pm, weights=i.upper, minlength=k)
+    lower = np.maximum(low, 1.0 - (i.upper.sum() - high))
+    upper = np.minimum(high, 1.0 - (i.lower.sum() - low))
+    return _scrubbed(space, lower, upper)
 
 
 def extension_star(db: Database) -> IntervalDistribution:
@@ -80,7 +77,18 @@ def extension_star(db: Database) -> IntervalDistribution:
     """
     cs = constraints_from_database(db)
     n = cs.space.cell_count
-    return _interval_envelope(cs, np.eye(n), cs.space)
+    # One feasibility probe first, so an empty system fails with one clear
+    # error instead of on an arbitrary cell.
+    probe = optimize(cs, np.zeros(n), "max")
+    if probe.status != OPTIMAL:
+        raise InfeasibleError(
+            "no joint distribution satisfies the constraints",
+            infeasibility=probe.infeasibility,
+        )
+    cells = np.eye(n)
+    lower = np.array([_extreme(cs, cell, "min") for cell in cells])
+    upper = np.array([_extreme(cs, cell, "max") for cell in cells])
+    return _scrubbed(cs.space, lower, upper)
 
 
 def joint_intervals(db: Database) -> IntervalDistribution:
@@ -117,17 +125,7 @@ def project_interval(i: IntervalDistribution, onto) -> IntervalDistribution:
     names = i.space.ordered_subset(onto)
     if not names:
         raise ValueError("projection requires at least one variable")
-    i.require_valid()
-    sub = i.space.subspace(names)
-    pm = i.space.projection_map(names)
-    if i.is_degenerate:
-        q = np.zeros(sub.cell_count)
-        np.add.at(q, pm, i.lower)
-        return IntervalDistribution(sub, q, q)
-    cs = constraints_from_box(i)
-    fibers = np.zeros((sub.cell_count, i.space.cell_count))
-    fibers[pm, np.arange(i.space.cell_count)] = 1.0
-    return _interval_envelope(cs, fibers, sub)
+    return _box_envelope(i, i.space.projection_map(names), i.space.subspace(names))
 
 
 def project_database(i: IntervalDistribution, scheme: Scheme) -> Database:
@@ -155,6 +153,4 @@ def tighten(i: IntervalDistribution) -> IntervalDistribution:
     each cell's minimum up to 1 minus the others' maxima).  The result is the
     narrowest interval table with the same feasible set; idempotent.
     """
-    cs = constraints_from_box(i)
-    n = i.space.cell_count
-    return _interval_envelope(cs, np.eye(n), i.space)
+    return _box_envelope(i, np.arange(i.space.cell_count), i.space)

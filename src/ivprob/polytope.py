@@ -3,10 +3,12 @@
 A database induces a polytope of joint distributions: for every marginal table
 cell with bounds ``[l, u]`` the ambient cells projecting onto it must sum to a
 value in ``[l, u]``, and the whole joint vector must be a probability
-distribution.  :func:`constraints_from_database` assembles that system,
-:func:`constraints_from_box` assembles the simpler per-cell box system
-``{p : lower <= p <= upper, sum(p) = 1}``, and :func:`optimize` computes exact
-min/max linear objectives over either via the bounded-variable simplex.
+distribution.  :func:`constraints_from_database` assembles that system and
+:func:`optimize` computes exact min/max linear objectives over it via the
+bounded-variable simplex; this is the LP path behind database envelopes.
+:func:`constraints_from_box` assembles the per-cell box system
+``{p : lower <= p <= upper, sum(p) = 1}``.  Box envelopes have a closed form
+(see :mod:`ivprob.extension`), so the box system serves as an LP reference.
 """
 
 from __future__ import annotations

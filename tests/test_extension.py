@@ -14,6 +14,7 @@ from ivprob import (
     UnknownVariableError,
     ValidationError,
     Variable,
+    constraints_from_box,
     constraints_from_database,
     extension_star,
     is_more_informative,
@@ -25,6 +26,7 @@ from ivprob import (
     reconstruct,
     tighten,
 )
+from ivprob.model import SUM_TOLERANCE
 from ivprob.polytope import FEASIBILITY_TOL
 
 from conftest import assert_intervals_close
@@ -248,3 +250,75 @@ def test_refining_the_scheme_tightens_the_reconstruction():
         recon_fine = reconstruct(i, fine)
         recon_coarse = reconstruct(i, coarse)
         assert is_more_informative(recon_coarse, recon_fine, atol=1e-9)
+
+
+# ------------------------------------------- closed form vs the box LP ---
+
+
+def _edge_boxes(rng, space):
+    """Valid boxes around a hidden distribution, one per hard case.
+
+    A generic box; a degenerate one; one with zero-width cells; and two whose
+    lower or upper sum sits within ``SUM_TOLERANCE`` of 1 (on either side),
+    with zero-width cells among the rest.
+    """
+    p = random_real(rng, space).p
+    down = rng.uniform(0.0, 0.5, p.size)
+    up = rng.uniform(0.0, 0.5, p.size)
+    pinned = rng.random(p.size) < 0.3
+    edge = p * (1.0 + rng.uniform(-0.99, 0.99) * SUM_TOLERANCE)
+    generic = (np.clip(p - down, 0.0, None), np.clip(p + up, None, 1.0))
+    pinned_generic = tuple(np.where(pinned, p, side) for side in generic)
+    at_lower = np.clip(edge + up, None, 1.0)
+    at_upper = np.clip(edge - down, 0.0, None)
+    cases = [
+        generic,
+        (edge, edge),
+        pinned_generic,
+        (edge, np.where(pinned, edge, at_lower)),
+        (np.where(pinned, edge, at_upper), edge),
+    ]
+    return [IntervalDistribution(space, lo, hi).require_valid() for lo, hi in cases]
+
+
+def _lp_fiber_envelope(i, pm, k):
+    """Min and max of every fiber sum by the box LP, the reference path."""
+    cs = constraints_from_box(i)
+    fibers = [(pm == t).astype(float) for t in range(k)]
+    lower = [optimize(cs, f, "min").value for f in fibers]
+    upper = [optimize(cs, f, "max").value for f in fibers]
+    return np.array(lower), np.array(upper)
+
+
+def _kernel_test_spaces(rng, count):
+    """Random spaces, plus spaces with a one-label variable (single-cell fibers)."""
+    single = Variable("S", ("s1",))
+    for k in range(count):
+        sp = random_space(rng, max_cells=8, max_variables=3)
+        yield Space((single,) + sp.variables) if k % 4 == 0 else sp
+
+
+def test_tighten_matches_the_box_lp():
+    rng = np.random.default_rng(211)
+    for sp in _kernel_test_spaces(rng, 40):
+        n = sp.cell_count
+        for i in _edge_boxes(rng, sp):
+            got = tighten(i)
+            lower, upper = _lp_fiber_envelope(i, np.arange(n), n)
+            np.testing.assert_allclose(got.lower, lower, atol=1e-9, rtol=0.0)
+            np.testing.assert_allclose(got.upper, upper, atol=1e-9, rtol=0.0)
+
+
+def test_project_interval_matches_the_box_lp():
+    rng = np.random.default_rng(223)
+    for sp in _kernel_test_spaces(rng, 40):
+        names = list(sp.names)
+        subsets = [tuple(names[b] for b in range(len(names)) if mask >> b & 1)
+                   for mask in range(1, 1 << len(names))]
+        for i in _edge_boxes(rng, sp):
+            for onto in subsets:
+                got = project_interval(i, onto)
+                k = got.space.cell_count
+                lower, upper = _lp_fiber_envelope(i, sp.projection_map(onto), k)
+                np.testing.assert_allclose(got.lower, lower, atol=1e-9, rtol=0.0)
+                np.testing.assert_allclose(got.upper, upper, atol=1e-9, rtol=0.0)
