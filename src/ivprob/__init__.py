@@ -32,7 +32,6 @@ from .model import (
 )
 from .polytope import (
     ConstraintSystem,
-    LinearConstraint,
     LpOutcome,
     constraints_from_box,
     constraints_from_database,
@@ -98,7 +97,6 @@ __all__ = [
     "require_valid",
     "validate",
     "ConstraintSystem",
-    "LinearConstraint",
     "LpOutcome",
     "constraints_from_box",
     "constraints_from_database",

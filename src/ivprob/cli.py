@@ -5,7 +5,7 @@ operation, and print the result to standard output — documents in canonical
 JSON (or aligned text with ``--format table``), scalars as one 9-decimal
 number.  Exit codes are a stable contract: 0 success, 1 domain failure
 (invalid tables, inconsistency, refused enumerations), 2 usage or file/parse
-failure.
+failure, 3 internal solver failure (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     DocumentError,
     EnumerationLimitError,
     InfeasibleError,
+    SolverError,
     SpaceMismatchError,
     UnknownVariableError,
     ValidationError,
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
     except (DocumentError, UnknownVariableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"error: internal solver failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -173,16 +173,6 @@ def _projection_map(space: Space, names: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def cell_index(space: Space, labels: Sequence[str]) -> int:
-    """Canonical row-major index of the cell named by ``labels``."""
-    return space.cell_index(labels)
-
-
-def cell_tuple(space: Space, index: int) -> tuple[str, ...]:
-    """Label tuple of the cell at canonical ``index``."""
-    return space.cell_tuple(index)
-
-
 def _as_cell_array(space: Space, values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).copy()
     if arr.shape != (space.cell_count,):

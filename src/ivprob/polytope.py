@@ -3,9 +3,12 @@
 A database induces a polytope of joint distributions: for every marginal table
 cell with bounds ``[l, u]`` the ambient cells projecting onto it must sum to a
 value in ``[l, u]``, and the whole joint vector must be a probability
-distribution.  :func:`constraints_from_database` assembles that system and
-:func:`optimize` computes exact min/max linear objectives over it via the
-bounded-variable simplex; this is the LP path behind database envelopes.
+distribution.  :func:`constraints_from_database` assembles that system as a
+:class:`ConstraintSystem`, whose dense read-only arrays hold one
+fiber-indicator row per table-cell bound plus the normalization row, and
+:func:`optimize` passes those arrays straight to the bounded-variable simplex
+to compute exact min/max linear objectives; this is the LP path behind
+database envelopes.
 :func:`constraints_from_box` assembles the per-cell box system
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Box envelopes have a closed form
 (see :mod:`ivprob.extension`), so the box system serves as an LP reference.
@@ -32,121 +35,108 @@ EQ = simplex.EQ
 FEASIBILITY_TOL = simplex.FEASIBILITY_TOL
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``sum(coef * p[cell] for cell, coef in terms)  relation  rhs``."""
-
-    terms: tuple[tuple[int, float], ...]
-    relation: str
-    rhs: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((int(j), float(c)) for j, c in self.terms)
-        )
-        if self.relation not in (LE, GE, EQ):
-            raise ValueError(f"unknown relation {self.relation!r}")
-        if not np.isfinite(self.rhs):
-            raise ValueError("constraint right-hand side must be finite")
-        if any(not np.isfinite(c) for _, c in self.terms):
-            raise ValueError("constraint coefficients must be finite")
-        if any(j < 0 for j, _ in self.terms):
-            raise ValueError("negative cell index in constraint")
-
-    def residual(self, p: np.ndarray) -> float:
-        """Signed violation of this row at ``p`` (0 when satisfied)."""
-        val = sum(c * p[j] for j, c in self.terms)
-        if self.relation == LE:
-            return max(0.0, val - self.rhs)
-        if self.relation == GE:
-            return max(0.0, self.rhs - val)
-        return abs(val - self.rhs)
+def normalization_row(space: Space) -> np.ndarray:
+    """The all-ones coefficients of the simplex equality ``sum_j p_j = 1``."""
+    row = np.ones(space.cell_count)
+    row.flags.writeable = False
+    return row
 
 
-def normalization_row(space: Space) -> LinearConstraint:
-    """The simplex equality ``sum_j p_j = 1``."""
-    return LinearConstraint(
-        tuple((j, 1.0) for j in range(space.cell_count)), EQ, 1.0
-    )
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """General rows plus a finite per-cell variable box over a joint space.
+    """Rows ``a @ p  relations  b`` plus a finite per-cell variable box.
 
-    Exactly one normalization equality must be present among the rows; the box
-    defaults to ``[0, 1]`` per cell and is tightened by box-style systems.
+    ``a`` is a dense ``m x n`` matrix over the ``n`` cells of ``space``,
+    ``relations`` holds one of ``"<="``, ``">="``, ``"="`` per row and ``b``
+    the right-hand sides.  Exactly one row must be the normalization equality
+    ``sum_j p_j = 1``; the box defaults to ``[0, 1]`` per cell and is
+    tightened by box-style systems.  The arrays are stored as read-only copies.
     """
 
     space: Space
-    constraints: tuple[LinearConstraint, ...]
+    a: np.ndarray
+    relations: tuple[str, ...]
+    b: np.ndarray
     lower: np.ndarray = field(default=None)
     upper: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n = self.space.cell_count
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, float).copy()
-        upper = np.ones(n) if self.upper is None else np.asarray(self.upper, float).copy()
+        a = _read_only(self.a)
+        b = _read_only(self.b)
+        relations = tuple(self.relations)
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"constraint matrix must have one column per cell ({n})")
+        if b.shape != (len(a),) or len(relations) != len(a):
+            raise ValueError("every row needs one relation and one right-hand side")
+        for rel in relations:
+            if rel not in (LE, GE, EQ):
+                raise ValueError(f"unknown relation {rel!r}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("constraint coefficients and right-hand sides must be finite")
+        lower = _read_only(np.zeros(n) if self.lower is None else self.lower)
+        upper = _read_only(np.ones(n) if self.upper is None else self.upper)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must have one entry per cell")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("cell bounds must be finite")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        for row in self.constraints:
-            if any(j >= n for j, _ in row.terms):
-                raise ValueError("constraint references a cell outside the space")
-        n_norm = sum(1 for row in self.constraints if _is_normalization(row, n))
+        is_eq = np.array([rel == EQ for rel in relations], dtype=bool)
+        n_norm = int(np.sum(is_eq & (b == 1.0) & np.all(a == 1.0, axis=1)))
         if n_norm != 1:
             raise ValueError(f"expected exactly one normalization row, found {n_norm}")
+        for name, value in (("a", a), ("relations", relations), ("b", b),
+                            ("lower", lower), ("upper", upper)):
+            object.__setattr__(self, name, value)
 
     def max_residual(self, p: np.ndarray) -> float:
         """Largest violation of any row or bound at ``p``."""
-        worst = max((row.residual(p) for row in self.constraints), default=0.0)
-        worst = max(worst, float(np.max(self.lower - p, initial=0.0)))
-        worst = max(worst, float(np.max(p - self.upper, initial=0.0)))
-        return worst
-
-
-def _is_normalization(row: LinearConstraint, n: int) -> bool:
-    if row.relation != EQ or row.rhs != 1.0 or len(row.terms) != n:
-        return False
-    return all(c == 1.0 for _, c in row.terms) and (
-        sorted(j for j, _ in row.terms) == list(range(n))
-    )
+        rel = np.asarray(self.relations)
+        gap = self.a @ p - self.b
+        rows = np.where(rel == LE, gap, np.where(rel == GE, -gap, np.abs(gap)))
+        bounds = np.maximum(self.lower - p, p - self.upper)
+        return float(max(np.max(rows), np.max(bounds, initial=0.0), 0.0))
 
 
 def constraints_from_database(db: Database, ambient: Space | None = None) -> ConstraintSystem:
     """The joint-cell system implied by a database's marginal tables.
 
     Each table cell with bounds ``[l, u]`` yields a ``>= l`` and a ``<= u``
-    row over the ambient cells that project onto it; a degenerate cell yields
-    a single equality instead.  The normalization row is appended last.
+    row over the indicator of the ambient cells that project onto it; a
+    degenerate cell yields a single equality instead.  Rows follow the tables
+    and their cells in order; the normalization row is appended last.
     """
     require_valid(db)
     if ambient is None:
         ambient = db.space
-    rows: list[LinearConstraint] = []
+    rows: list[np.ndarray] = []
+    relations: list[str] = []
+    rhs: list[float] = []
     for table in db.tables:
         names = table.space.names
         for name in names:
             if name not in ambient.names:
                 raise ValueError(f"ambient space does not cover table variable {name!r}")
         pm = ambient.projection_map(names)
-        fibers = [np.nonzero(pm == t)[0] for t in range(table.space.cell_count)]
-        for t, fiber in enumerate(fibers):
-            terms = tuple((int(j), 1.0) for j in fiber)
-            lo, hi = float(table.lower[t]), float(table.upper[t])
+        fibers = pm == np.arange(table.space.cell_count)[:, None]
+        for fiber, lo, hi in zip(fibers, table.lower, table.upper):
             if lo == hi:
-                rows.append(LinearConstraint(terms, EQ, lo))
+                rows.append(fiber)
+                relations.append(EQ)
+                rhs.append(lo)
             else:
-                rows.append(LinearConstraint(terms, GE, lo))
-                rows.append(LinearConstraint(terms, LE, hi))
+                rows += [fiber, fiber]
+                relations += [GE, LE]
+                rhs += [lo, hi]
     rows.append(normalization_row(ambient))
-    return ConstraintSystem(ambient, tuple(rows))
+    relations.append(EQ)
+    rhs.append(1.0)
+    return ConstraintSystem(ambient, rows, tuple(relations), rhs)
 
 
 def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
@@ -157,7 +147,7 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
     """
     i.require_valid()
     return ConstraintSystem(
-        i.space, (normalization_row(i.space),), i.lower, i.upper
+        i.space, [normalization_row(i.space)], (EQ,), [1.0], i.lower, i.upper
     )
 
 
@@ -187,20 +177,10 @@ def optimize(cs: ConstraintSystem, objective, direction: str) -> LpOutcome:
         raise ValueError("objective coefficients must be finite")
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    if np.any(cs.lower > cs.upper):
-        return LpOutcome(INFEASIBLE, infeasibility=float(np.max(cs.lower - cs.upper)))
 
-    m = len(cs.constraints)
-    a = np.zeros((m, n))
-    b = np.empty(m)
-    rel = []
-    for i, row in enumerate(cs.constraints):
-        for j, coef in row.terms:
-            a[i, j] += coef
-        b[i] = row.rhs
-        rel.append(row.relation)
-
-    res = simplex.solve(a, rel, b, cs.lower, cs.upper, obj, maximize=direction == "max")
+    res = simplex.solve(
+        cs.a, cs.relations, cs.b, cs.lower, cs.upper, obj, maximize=direction == "max"
+    )
     if res.status != OPTIMAL:
         return LpOutcome(INFEASIBLE, infeasibility=res.infeasibility)
 

@@ -59,7 +59,7 @@ def solve(
     c: np.ndarray,
     maximize: bool = True,
 ) -> SimplexResult:
-    """Solve the bounded LP; see module docstring for the formulation."""
+    """Solve the bounded LP (minimize ``c . x`` when not ``maximize``); see module docstring."""
     a = np.asarray(a, dtype=np.float64)
     relations = list(relations)
     b = np.asarray(b, dtype=np.float64)
@@ -71,11 +71,6 @@ def solve(
         raise ValueError("at least one constraint row is required")
     if np.any(lo > hi):
         return SimplexResult(INFEASIBLE, None, None, float(np.max(lo - hi)))
-    if not maximize:
-        res = solve(a, relations, b, lo, hi, -c, maximize=True)
-        if res.status != OPTIMAL:
-            return res
-        return SimplexResult(OPTIMAL, res.x, -res.objective, 0.0)
 
     # Extended problem: structural | slacks (inequality rows) | artificials.
     slack_of = [-1] * m
@@ -139,7 +134,7 @@ def solve(
     lo_x[art0:] = 0.0
     hi_x[art0:] = 0.0
     c2 = np.zeros(n_tot)
-    c2[:n] = c
+    c2[:n] = c if maximize else -c
     basis, at_upper, x = _iterate(ax, b, lo_x, hi_x, c2, basis, at_upper)
 
     xs = x[:n].copy()

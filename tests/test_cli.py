@@ -259,3 +259,17 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.json"])
     assert exc.value.code == 2
+
+
+def test_solver_failure_exits_3(capsys, monkeypatch):
+    import ivprob.simplex
+    from ivprob import SolverError
+
+    def broken(*args, **kwargs):
+        raise SolverError("singular basis")
+
+    monkeypatch.setattr(ivprob.simplex, "solve", broken)
+    code, out, err = run(capsys, "extend", FIXTURES / "db_d.json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal solver failure: singular basis\n"

@@ -10,7 +10,6 @@ from ivprob import (
     Database,
     InfeasibleError,
     IntervalDistribution,
-    LinearConstraint,
     Space,
     Variable,
     constraints_from_box,
@@ -21,56 +20,123 @@ from ivprob import (
 )
 from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
 
-from oracles import grid_linear_range, random_consistent_database, random_interval
+from oracles import (
+    grid_linear_range,
+    random_consistent_database,
+    random_interval,
+    random_real,
+    random_space,
+)
 
 
 def _binary(name, labels):
     return Variable(name, labels)
 
 
+def _with_normalization(space, coef, relation, rhs):
+    """A system holding one row plus the normalization row."""
+    return ConstraintSystem(
+        space, [coef, normalization_row(space)], (relation, "="), [rhs, 1.0]
+    )
+
+
 def test_normalization_row_sums_all_cells(space_xy):
     row = normalization_row(space_xy)
-    assert row.relation == "="
-    assert row.rhs == pytest.approx(1.0)
-    assert sorted(cell for cell, _ in row.terms) == [0, 1, 2, 3]
-    assert all(coef == 1.0 for _, coef in row.terms)
+    np.testing.assert_array_equal(row, [1.0, 1.0, 1.0, 1.0])
+    assert not row.flags.writeable
+    cs = constraints_from_box(IntervalDistribution(space_xy, np.zeros(4), np.ones(4)))
+    assert cs.relations == ("=",)
+    assert cs.b[0] == 1.0
 
 
-def test_constraint_residual():
-    row = LinearConstraint(terms=((0, 1.0), (2, 1.0)), relation="<=", rhs=0.5)
-    x = np.array([0.4, 0.0, 0.3, 0.0])
-    assert row.residual(x) == pytest.approx(0.2)
-    ge = LinearConstraint(terms=((0, 1.0),), relation=">=", rhs=0.6)
-    assert ge.residual(x) == pytest.approx(0.2)
-    eq = LinearConstraint(terms=((1, 1.0),), relation="=", rhs=0.1)
-    assert eq.residual(x) == pytest.approx(0.1)
+def test_constraint_residual(space_xy):
+    x = np.array([0.4, 0.0, 0.3, 0.3])
+    le = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], "<=", 0.5)
+    assert le.max_residual(x) == pytest.approx(0.2)
+    ge = _with_normalization(space_xy, [1.0, 0.0, 0.0, 0.0], ">=", 0.6)
+    assert ge.max_residual(x) == pytest.approx(0.2)
+    eq = _with_normalization(space_xy, [0.0, 1.0, 0.0, 0.0], "=", 0.1)
+    assert eq.max_residual(x) == pytest.approx(0.1)
+    ok = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], ">=", 0.5)
+    assert ok.max_residual(x) == 0.0
+    # The normalization row and the cell box are checked too.
+    assert ok.max_residual(np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
+    assert ok.max_residual(np.array([1.3, -0.3, 0.0, 0.0])) == pytest.approx(0.3)
 
 
 def test_system_requires_exactly_one_normalization(space_x):
     with pytest.raises(ValueError):
-        ConstraintSystem(space=space_x, constraints=())
+        ConstraintSystem(space_x, np.empty((0, 2)), (), np.empty(0))
     row = normalization_row(space_x)
     with pytest.raises(ValueError):
-        ConstraintSystem(space=space_x, constraints=(row, row))
-    cs = ConstraintSystem(space=space_x, constraints=(row,))
-    assert len(cs.constraints) == 1
+        ConstraintSystem(space_x, [row, row], ("=", "="), [1.0, 1.0])
+    # All-ones coefficients with another relation or right-hand side do not count.
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [row], ("<=",), [1.0])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [row], ("=",), [0.5])
+    cs = ConstraintSystem(space_x, [row], ("=",), [1.0])
+    assert cs.a.shape == (1, 2)
+    assert cs.relations == ("=",)
     np.testing.assert_allclose(cs.lower, [0.0, 0.0])
     np.testing.assert_allclose(cs.upper, [1.0, 1.0])
+
+
+def test_system_rejects_bad_rows(space_x):
+    row = normalization_row(space_x)
+    with pytest.raises(ValueError):  # one column too many
+        ConstraintSystem(space_x, [[1.0, 1.0, 1.0]], ("=",), [1.0])
+    with pytest.raises(ValueError):  # a flat row is not a matrix
+        ConstraintSystem(space_x, row, ("=",), [1.0])
+    with pytest.raises(ValueError):  # right-hand sides do not match the rows
+        ConstraintSystem(space_x, [row], ("=",), [1.0, 0.5])
+    with pytest.raises(ValueError):  # relations do not match the rows
+        ConstraintSystem(space_x, [row], ("=", "<="), [1.0])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [[1.0, 0.0], row], ("<", "="), [0.5, 1.0])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [[np.inf, 0.0], row], ("<=", "="), [0.5, 1.0])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [[1.0, 0.0], row], ("<=", "="), [np.nan, 1.0])
+
+
+def test_system_arrays_are_read_only_copies(space_x):
+    a = np.array([[1.0, 0.0], [1.0, 1.0]])
+    b = np.array([0.5, 1.0])
+    cs = ConstraintSystem(space_x, a, ("<=", "="), b)
+    a[0, 0] = 7.0
+    b[0] = 7.0
+    np.testing.assert_array_equal(cs.a, [[1.0, 0.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(cs.b, [0.5, 1.0])
+    for arr in (cs.a, cs.b, cs.lower, cs.upper):
+        with pytest.raises(ValueError):
+            arr[0] = 0.25
+    built = constraints_from_database(
+        Database((IntervalDistribution(space_x, np.array([0.2, 0.3]), np.array([0.7, 0.8])),))
+    )
+    with pytest.raises(ValueError):
+        built.a[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        built.b[0] = 0.0
 
 
 def test_system_rejects_bad_bounds(space_x):
     row = normalization_row(space_x)
     with pytest.raises(ValueError):
         ConstraintSystem(
-            space=space_x,
-            constraints=(row,),
+            space_x,
+            [row],
+            ("=",),
+            [1.0],
             lower=np.array([0.0]),
             upper=np.array([1.0]),
         )
     with pytest.raises(ValueError):
         ConstraintSystem(
-            space=space_x,
-            constraints=(row,),
+            space_x,
+            [row],
+            ("=",),
+            [1.0],
             lower=np.array([0.0, np.nan]),
             upper=np.array([1.0, 1.0]),
         )
@@ -78,22 +144,71 @@ def test_system_rejects_bad_bounds(space_x):
 
 def test_degenerate_tables_become_equality_rows(db_d):
     cs = constraints_from_database(db_d)
-    eq_rows = [c for c in cs.constraints[:-1]]
-    assert len(eq_rows) == 4
-    assert all(c.relation == "=" for c in eq_rows)
-    assert cs.constraints[-1].relation == "="
-    assert cs.constraints[-1].rhs == pytest.approx(1.0)
+    assert cs.a.shape == (5, 4)
+    assert cs.relations == ("=",) * 5
+    np.testing.assert_array_equal(cs.a[-1], [1.0, 1.0, 1.0, 1.0])
+    assert cs.b[-1] == pytest.approx(1.0)
     # p(x1) row sums cells 0 and 1 of the row-major XY space.
-    rhs = sorted(c.rhs for c in eq_rows)
-    assert rhs == pytest.approx([0.3, 0.4, 0.6, 0.7])
+    np.testing.assert_array_equal(cs.a[0], [1.0, 1.0, 0.0, 0.0])
+    assert sorted(cs.b[:-1]) == pytest.approx([0.3, 0.4, 0.6, 0.7])
 
 
 def test_interval_tables_become_inequality_pairs(db_i):
     cs = constraints_from_database(db_i)
-    body = cs.constraints[:-1]
+    body = cs.relations[:-1]
     assert len(body) == 16
-    assert sum(1 for c in body if c.relation == ">=") == 8
-    assert sum(1 for c in body if c.relation == "<=") == 8
+    assert body == (">=", "<=") * 8
+
+
+def _mixed_table(rng, space, names):
+    """A valid marginal table of a random joint: each cell is degenerate or not."""
+    sub = space.subspace(names)
+    k = sub.cell_count
+    marginal = np.zeros(k)
+    np.add.at(marginal, space.projection_map(names), random_real(rng, space).p)
+    degenerate = rng.uniform(size=k) < rng.choice([0.0, 0.5, 1.0])
+    lower = np.clip(marginal - rng.uniform(0.0, 0.3, k), 0.0, None)
+    upper = np.clip(marginal + rng.uniform(0.0, 0.3, k), None, 1.0)
+    return IntervalDistribution(
+        sub, np.where(degenerate, marginal, lower), np.where(degenerate, marginal, upper)
+    )
+
+
+def test_database_rows_follow_tables_and_cells_in_order():
+    """The layout the simplex sees, against a row-by-row rebuild from projection_map."""
+    rng = np.random.default_rng(303)
+    for _ in range(40):
+        space = random_space(rng, max_cells=8)
+        names = list(space.names)
+        tables = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, len(names) + 1))
+            subset = tuple(names[k] for k in rng.permutation(len(names))[:size])
+            tables.append(_mixed_table(rng, space, subset))
+        cs = constraints_from_database(Database(tuple(tables), space=space))
+
+        rows, relations, rhs = [], [], []
+        for table in tables:
+            pm = space.projection_map(table.space.names)
+            for t in range(table.space.cell_count):
+                fiber = [1.0 if pm[j] == t else 0.0 for j in range(space.cell_count)]
+                if table.lower[t] == table.upper[t]:
+                    rows.append(fiber)
+                    relations.append("=")
+                    rhs.append(table.lower[t])
+                else:
+                    rows += [fiber, fiber]
+                    relations += [">=", "<="]
+                    rhs += [table.lower[t], table.upper[t]]
+        rows.append([1.0] * space.cell_count)
+        relations.append("=")
+        rhs.append(1.0)
+
+        np.testing.assert_array_equal(cs.a, rows)
+        assert cs.relations == tuple(relations)
+        np.testing.assert_array_equal(cs.b, rhs)
+        np.testing.assert_array_equal(cs.lower, np.zeros(space.cell_count))
+        np.testing.assert_array_equal(cs.upper, np.ones(space.cell_count))
 
 
 def test_ambient_space_must_cover_tables(db_d, space_x):
@@ -125,8 +240,10 @@ def test_optimize_rejects_bad_objectives(db_d):
 
 def test_optimize_detects_contradictory_bounds(space_x):
     cs = ConstraintSystem(
-        space=space_x,
-        constraints=(normalization_row(space_x),),
+        space_x,
+        [normalization_row(space_x)],
+        ("=",),
+        [1.0],
         lower=np.array([0.8, 0.5]),
         upper=np.array([0.9, 0.6]),
     )
@@ -138,7 +255,8 @@ def test_optimize_detects_contradictory_bounds(space_x):
 def test_empty_database_with_explicit_space_gives_unit_box(space_x):
     db = Database((), space=space_x)
     cs = constraints_from_database(db)
-    assert len(cs.constraints) == 1  # just normalization
+    assert cs.relations == ("=",)  # just normalization
+    np.testing.assert_array_equal(cs.a, [[1.0, 1.0]])
     top = optimize(cs, np.array([1.0, 0.0]), "max")
     bot = optimize(cs, np.array([1.0, 0.0]), "min")
     assert top.value == pytest.approx(1.0, abs=1e-9)
@@ -152,7 +270,9 @@ def test_box_system_uses_variable_bounds(space_xy):
         np.array([0.5, 0.4, 0.6, 0.3]),
     )
     cs = constraints_from_box(i)
-    assert len(cs.constraints) == 1
+    np.testing.assert_array_equal(cs.a, [[1.0, 1.0, 1.0, 1.0]])
+    assert cs.relations == ("=",)
+    np.testing.assert_array_equal(cs.b, [1.0])
     np.testing.assert_allclose(cs.lower, i.lower)
     np.testing.assert_allclose(cs.upper, i.upper)
 
@@ -179,12 +299,7 @@ def test_database_envelopes_bracket_grid_oracle(space_xy):
     for _ in range(5):
         db = random_consistent_database(rng, space_xy)
         cs = constraints_from_database(db)
-        rows = []
-        for c in cs.constraints[:-1]:
-            coef = np.zeros(4)
-            for cell, w in c.terms:
-                coef[cell] = w
-            rows.append((coef, c.relation, c.rhs))
+        rows = list(zip(cs.a[:-1], cs.relations[:-1], cs.b[:-1]))
         obj = rng.normal(size=4)
         lo_lp = optimize(cs, obj, "min").value
         hi_lp = optimize(cs, obj, "max").value
@@ -206,19 +321,9 @@ def test_database_envelopes_bracket_grid_oracle(space_xy):
 
 def test_row_scaling_does_not_change_optimum(db_d):
     cs = constraints_from_database(db_d)
-    scaled_rows = []
-    for c in cs.constraints:
-        if c.relation == "=" and c.rhs == pytest.approx(1.0) and len(c.terms) == 4:
-            scaled_rows.append(c)
-            continue
-        scaled_rows.append(
-            LinearConstraint(
-                terms=tuple((cell, 2.0 * w) for cell, w in c.terms),
-                relation=c.relation,
-                rhs=2.0 * c.rhs,
-            )
-        )
-    doubled = ConstraintSystem(space=cs.space, constraints=tuple(scaled_rows))
+    # Every row but the last, the normalization row, is doubled.
+    scale = np.where(np.arange(len(cs.b)) < len(cs.b) - 1, 2.0, 1.0)
+    doubled = ConstraintSystem(cs.space, scale[:, None] * cs.a, cs.relations, scale * cs.b)
     obj = np.array([1.0, 0.0, 0.0, 0.0])
     assert optimize(doubled, obj, "max").value == pytest.approx(0.6, abs=1e-9)
     assert optimize(doubled, obj, "min").value == pytest.approx(0.3, abs=1e-9)
