@@ -10,15 +10,17 @@ the envelope of the projected database — and measures what the scheme forgot.
 Every endpoint returned by these functions is attained by a feasible joint;
 the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
-Huete & Moral, IJUFKS 1994); a database envelope takes two linear programs
-per joint cell, each attained by its LP witness.
+Huete & Moral, IJUFKS 1994).  A database envelope minimizes and maximizes
+every joint cell over the database polytope in one simplex call: one phase 1
+for the polytope, then one phase 2 per endpoint, each attained by its LP
+witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverError
+from .errors import InfeasibleError
 from .model import (
     Database,
     IntervalDistribution,
@@ -26,16 +28,7 @@ from .model import (
     Scheme,
     Space,
 )
-from .polytope import OPTIMAL, ConstraintSystem, constraints_from_database, optimize
-
-
-def _extreme(cs: ConstraintSystem, objective: np.ndarray, direction: str) -> float:
-    outcome = optimize(cs, objective, direction)
-    if outcome.status != OPTIMAL:
-        raise SolverError(
-            "a feasibility-checked system reported infeasible during the sweep"
-        )
-    return outcome.value
+from .polytope import OPTIMAL, constraints_from_database, optimize
 
 
 def _scrubbed(space: Space, lower: np.ndarray, upper: np.ndarray) -> IntervalDistribution:
@@ -77,18 +70,17 @@ def extension_star(db: Database) -> IntervalDistribution:
     """
     cs = constraints_from_database(db)
     n = cs.space.cell_count
-    # One feasibility probe first, so an empty system fails with one clear
-    # error instead of on an arbitrary cell.
-    probe = optimize(cs, np.zeros(n), "max")
-    if probe.status != OPTIMAL:
+    # One simplex call for all 2n unit objectives: its shared phase 1 is the
+    # feasibility probe, so an empty system fails with one clear error.
+    cells = np.eye(n)
+    outcomes = optimize(cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n)
+    if outcomes[0].status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",
-            infeasibility=probe.infeasibility,
+            infeasibility=outcomes[0].infeasibility,
         )
-    cells = np.eye(n)
-    lower = np.array([_extreme(cs, cell, "min") for cell in cells])
-    upper = np.array([_extreme(cs, cell, "max") for cell in cells])
-    return _scrubbed(cs.space, lower, upper)
+    values = np.array([outcome.value for outcome in outcomes])
+    return _scrubbed(cs.space, values[:n], values[n:])
 
 
 def joint_intervals(db: Database) -> IntervalDistribution:

@@ -8,7 +8,8 @@ distribution.  :func:`constraints_from_database` assembles that system as a
 fiber-indicator row per table-cell bound plus the normalization row, and
 :func:`optimize` passes those arrays straight to the bounded-variable simplex
 to compute exact min/max linear objectives; this is the LP path behind
-database envelopes.
+database envelopes.  Given a matrix of objectives, :func:`optimize` makes one
+simplex call for all of them, so phase 1 runs once per system.
 :func:`constraints_from_box` assembles the per-cell box system
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Box envelopes have a closed form
 (see :mod:`ivprob.extension`), so the box system serves as an LP reference.
@@ -16,6 +17,7 @@ database envelopes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +110,9 @@ def constraints_from_database(db: Database, ambient: Space | None = None) -> Con
 
     Each table cell with bounds ``[l, u]`` yields a ``>= l`` and a ``<= u``
     row over the indicator of the ambient cells that project onto it; a
-    degenerate cell yields a single equality instead.  Rows follow the tables
-    and their cells in order; the normalization row is appended last.
+    degenerate cell yields a single equality instead, unless it is the
+    normalization row itself (a one-cell table of probability 1).  Rows follow
+    the tables and their cells in order; the normalization row is appended last.
     """
     require_valid(db)
     if ambient is None:
@@ -125,6 +128,8 @@ def constraints_from_database(db: Database, ambient: Space | None = None) -> Con
         pm = ambient.projection_map(names)
         fibers = pm == np.arange(table.space.cell_count)[:, None]
         for fiber, lo, hi in zip(fibers, table.lower, table.upper):
+            if lo == hi == 1.0 and fiber.all():
+                continue  # restates the normalization row (a one-cell table)
             if lo == hi:
                 rows.append(fiber)
                 relations.append(EQ)
@@ -162,28 +167,44 @@ class LpOutcome:
     infeasibility: float = 0.0
 
 
-def optimize(cs: ConstraintSystem, objective, direction: str) -> LpOutcome:
+def optimize(
+    cs: ConstraintSystem, objective, direction: str | Sequence[str]
+) -> LpOutcome | list[LpOutcome]:
     """Exact min or max of ``objective . p`` over the system.
 
     Returns an optimal outcome whose witness attains the value, or an
     infeasible outcome; the feasible region is inside the unit box, so an
     unbounded program indicates a solver bug and raises :class:`SolverError`.
+    ``objective`` may also be a ``k x n`` matrix with one direction per row;
+    then a list of ``k`` outcomes is returned from one simplex call, whose
+    single phase 1 decides feasibility for every row.
     """
     n = cs.space.cell_count
     obj = np.asarray(objective, dtype=np.float64)
-    if obj.shape != (n,):
+    single = obj.ndim == 1
+    objs = obj[None, :] if single else obj
+    directions = (direction,) if single else tuple(direction)
+    if objs.ndim != 2 or objs.shape[1] != n:
         raise ValueError(f"objective must have one coefficient per cell ({n})")
-    if not np.all(np.isfinite(obj)):
+    if not np.all(np.isfinite(objs)):
         raise ValueError("objective coefficients must be finite")
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    if len(directions) != len(objs):
+        raise ValueError(f"expected one direction per objective row ({len(objs)})")
+    for d in directions:
+        if d not in ("min", "max"):
+            raise ValueError(f"direction must be 'min' or 'max', got {d!r}")
 
-    res = simplex.solve(
-        cs.a, cs.relations, cs.b, cs.lower, cs.upper, obj, maximize=direction == "max"
+    results = simplex.solve(
+        cs.a, cs.relations, cs.b, cs.lower, cs.upper, objs,
+        maximize=[d == "max" for d in directions],
     )
+    outcomes = [_outcome(cs, row, res) for row, res in zip(objs, results)]
+    return outcomes[0] if single else outcomes
+
+
+def _outcome(cs: ConstraintSystem, obj: np.ndarray, res: simplex.SimplexResult) -> LpOutcome:
     if res.status != OPTIMAL:
         return LpOutcome(INFEASIBLE, infeasibility=res.infeasibility)
-
     x = res.x
     x = np.where((x < 0.0) & (x > -FEASIBILITY_TOL), 0.0, x)
     resid = cs.max_residual(x)

@@ -16,12 +16,20 @@ ratio-test ties alike) guarantees termination without cycling.  Each iteration
 refactorizes the small basis with dense solves, so no error accumulates across
 pivots.
 
+Phase 1 does not depend on the objective, so it runs once per system: given a
+``k x n`` cost matrix, every row's phase 2 starts from a copy of the phase-1
+basis and bound flags.  Each row's result is therefore bit-identical to a
+single solve with that row alone, and an envelope sweep over one polytope
+pays for one feasibility search, not one per objective (the warm start for
+re-optimizing one polytope, Chvátal, *Linear Programming*, 1983, ch. 8).
+
 Vertices are reached exactly (up to float rounding of the input data), which
 downstream callers rely on for witness feasibility at tight tolerances.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +65,16 @@ def solve(
     lo: np.ndarray,
     hi: np.ndarray,
     c: np.ndarray,
-    maximize: bool = True,
-) -> SimplexResult:
-    """Solve the bounded LP (minimize ``c . x`` when not ``maximize``); see module docstring."""
+    maximize: bool | Sequence[bool] = True,
+) -> SimplexResult | list[SimplexResult]:
+    """Solve the bounded LP (minimize ``c . x`` when not ``maximize``); see module docstring.
+
+    ``c`` is one cost vector of length ``n`` with a single ``maximize`` flag,
+    and one :class:`SimplexResult` is returned; or a ``k x n`` cost matrix
+    with one flag per row, and a list of ``k`` results is returned, all
+    sharing one phase 1 (so an infeasible system gives ``k`` infeasible
+    results with one ``infeasibility``).
+    """
     a = np.asarray(a, dtype=np.float64)
     relations = list(relations)
     b = np.asarray(b, dtype=np.float64)
@@ -69,8 +84,16 @@ def solve(
     m, n = a.shape
     if m == 0:
         raise ValueError("at least one constraint row is required")
+    single = c.ndim == 1
+    costs = c[None, :] if single else c
+    flags = np.asarray([maximize] if single else maximize, dtype=bool)
+    if costs.ndim != 2 or costs.shape[1] != n:
+        raise ValueError(f"every cost vector needs one coefficient per column ({n})")
+    if flags.shape != (len(costs),):
+        raise ValueError(f"expected one maximize flag per cost row ({len(costs)})")
     if np.any(lo > hi):
-        return SimplexResult(INFEASIBLE, None, None, float(np.max(lo - hi)))
+        infeasible = SimplexResult(INFEASIBLE, None, None, float(np.max(lo - hi)))
+        return infeasible if single else [infeasible] * len(costs)
 
     # Extended problem: structural | slacks (inequality rows) | artificials.
     slack_of = [-1] * m
@@ -128,17 +151,21 @@ def solve(
     basis, at_upper, x = _iterate(ax, b, lo_x, hi_x, c1, basis, at_upper)
     infeas = float(x[art0:].sum())
     if infeas > FEASIBILITY_TOL:
-        return SimplexResult(INFEASIBLE, None, None, infeas)
+        infeasible = SimplexResult(INFEASIBLE, None, None, infeas)
+        return infeasible if single else [infeasible] * len(costs)
 
-    # Phase 2: pin artificials at zero and optimize the real objective.
+    # Phase 2: pin artificials at zero and optimize each real objective from
+    # a copy of the phase-1 basis (_iterate updates its basis in place).
     lo_x[art0:] = 0.0
     hi_x[art0:] = 0.0
-    c2 = np.zeros(n_tot)
-    c2[:n] = c if maximize else -c
-    basis, at_upper, x = _iterate(ax, b, lo_x, hi_x, c2, basis, at_upper)
-
-    xs = x[:n].copy()
-    return SimplexResult(OPTIMAL, xs, float(c @ xs), 0.0)
+    results = []
+    for row, up in zip(costs, flags):
+        c2 = np.zeros(n_tot)
+        c2[:n] = row if up else -row
+        _, _, x = _iterate(ax, b, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
+        xs = x[:n].copy()
+        results.append(SimplexResult(OPTIMAL, xs, float(row @ xs), 0.0))
+    return results[0] if single else results
 
 
 def _iterate(ax, b, lo_x, hi_x, cost, basis, at_upper):

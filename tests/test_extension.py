@@ -7,6 +7,7 @@ import pytest
 
 from ivprob import (
     Database,
+    InfeasibleError,
     IntervalDistribution,
     RealDistribution,
     Scheme,
@@ -322,3 +323,150 @@ def test_project_interval_matches_the_box_lp():
                 lower, upper = _lp_fiber_envelope(i, sp.projection_map(onto), k)
                 np.testing.assert_allclose(got.lower, lower, atol=1e-9, rtol=0.0)
                 np.testing.assert_allclose(got.upper, upper, atol=1e-9, rtol=0.0)
+
+
+# ------------------------------------- one simplex call per database envelope ---
+
+
+def _marginal_table(rng, space, names, p, kind):
+    """A table on ``names`` around the marginal of ``p``.
+
+    ``kind`` is ``"interval"`` (inequality rows), ``"degenerate"`` (an
+    interval table of zero widths: equality rows), ``"real"`` (a
+    :class:`RealDistribution`) or ``"mixed"`` (about half the cells degenerate).
+    """
+    sub = space.subspace(names)
+    k = sub.cell_count
+    marginal = np.zeros(k)
+    np.add.at(marginal, space.projection_map(names), p)
+    if kind == "real":
+        return RealDistribution(sub, marginal)
+    degenerate = rng.uniform(size=k) < {"interval": 0.0, "degenerate": 1.0, "mixed": 0.5}[kind]
+    lower = np.clip(marginal - rng.uniform(0.0, 0.3, k), 0.0, None)
+    upper = np.clip(marginal + rng.uniform(0.0, 0.3, k), None, 1.0)
+    return IntervalDistribution(
+        sub, np.where(degenerate, marginal, lower), np.where(degenerate, marginal, upper)
+    )
+
+
+def _sweep_databases(rng, count):
+    """Consistent databases with an inconsistent twin each.
+
+    Tables are interval, degenerate, real or a mix of these, over permuted
+    variable subsets; every fifth space has a one-label variable and every
+    fifth database an ambient space wider than its tables.  The twin adds two
+    real tables over all variables, taken from different joints.
+    """
+    one_label = Variable("S", ("s1",))
+    unused = Variable("W", ("w1", "w2"))
+    kinds = ("interval", "degenerate", "real", "mixed")
+    for case in range(count):
+        space = random_space(rng, max_cells=8)
+        if case % 5 == 0:
+            space = Space((one_label,) + space.variables)
+        ambient = Space(space.variables + (unused,)) if case % 5 == 1 else space
+        names = list(space.names)
+        p = random_real(rng, space).p
+        tables = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, len(names) + 1))
+            subset = tuple(names[k] for k in rng.permutation(len(names))[:size])
+            kind = kinds[case % 4] if case % 8 < 4 else kinds[rng.integers(4)]
+            tables.append(_marginal_table(rng, space, subset, p, kind))
+        clash = [RealDistribution(space, q) for q in (p, random_real(rng, space).p)]
+        yield Database(tuple(tables), space=ambient), Database(tuple(tables + clash), space=ambient)
+
+
+def test_extension_star_equals_per_cell_lps_exactly():
+    rng = np.random.default_rng(401)
+    for db, inconsistent in _sweep_databases(rng, 40):
+        env = extension_star(db)
+        cs = constraints_from_database(db)
+        cells = np.eye(cs.space.cell_count)
+        lower = np.clip([optimize(cs, e, "min").value for e in cells], 0.0, 1.0)
+        upper = np.clip([optimize(cs, e, "max").value for e in cells], 0.0, 1.0)
+        np.testing.assert_array_equal(env.lower, np.minimum(lower, upper))
+        np.testing.assert_array_equal(env.upper, upper)
+
+        cs = constraints_from_database(inconsistent)
+        probe = optimize(cs, np.zeros(cs.space.cell_count), "max")
+        with pytest.raises(InfeasibleError) as exc:
+            extension_star(inconsistent)
+        assert probe.infeasibility > 0.0
+        assert exc.value.infeasibility == probe.infeasibility
+
+
+def test_extension_star_runs_phase_one_once(db_i, monkeypatch):
+    from ivprob import simplex
+
+    calls = []
+    iterate = simplex._iterate
+
+    def counting(*args):
+        calls.append(None)
+        return iterate(*args)
+
+    monkeypatch.setattr(simplex, "_iterate", counting)
+    n = extension_star(db_i).space.cell_count
+    assert n == 8
+    assert len(calls) == 1 + 2 * n  # one phase 1, then one phase 2 per endpoint
+
+
+def _chain_database(rng, shape, kind):
+    """Tables on each neighbouring pair of a chain of variables, around one joint."""
+    variables = tuple(
+        Variable(f"C{k}", tuple(f"c{k}.{m}" for m in range(size)))
+        for k, size in enumerate(shape)
+    )
+    space = Space(variables)
+    p = random_real(rng, space).p
+    tables = tuple(
+        _marginal_table(rng, space, (variables[k].name, variables[k + 1].name), p, kind)
+        for k in range(len(shape) - 1)
+    )
+    return Database(tables, space=space)
+
+
+def _highs_envelope(db, shape):
+    """Per-cell min and max by SciPy's HiGHS, from rows built here by reshaping."""
+    from scipy.optimize import linprog
+
+    n = int(np.prod(shape))
+    labels = np.indices(shape).reshape(len(shape), n)  # row-major joint cells
+    rows, lows, highs = [], [], []
+    for k, table in enumerate(db.tables):
+        width = shape[k + 1]
+        for t in range(table.space.cell_count):
+            rows.append(((labels[k] == t // width) & (labels[k + 1] == t % width)).astype(float))
+            lows.append(table.lower[t])
+            highs.append(table.upper[t])
+    fibers = np.array(rows)
+    lp = dict(
+        A_ub=np.vstack([fibers, -fibers]), b_ub=np.concatenate([highs, np.negative(lows)]),
+        A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0.0, 1.0), method="highs",
+    )
+    cells = np.eye(n)
+    lower = [linprog(e, **lp).fun for e in cells]
+    upper = [-linprog(-e, **lp).fun for e in cells]
+    return np.array(lower), np.array(upper)
+
+
+def test_extension_star_matches_highs_on_chains():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(409)
+    for shape in ((3, 3), (2, 2, 2, 2), (3, 3, 3), (4, 4, 4), (2,) * 6):
+        for kind in ("interval", "real", "mixed"):
+            db = _chain_database(rng, shape, kind)
+            env = extension_star(db)
+            lower, upper = _highs_envelope(db, shape)
+            np.testing.assert_allclose(env.lower, lower, atol=1e-7, rtol=0.0)
+            np.testing.assert_allclose(env.upper, upper, atol=1e-7, rtol=0.0)
+
+
+def test_ivprob_does_not_import_scipy():
+    import subprocess
+    import sys
+
+    probe = "import sys, ivprob, ivprob.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

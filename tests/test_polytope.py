@@ -14,6 +14,7 @@ from ivprob import (
     Variable,
     constraints_from_box,
     constraints_from_database,
+    extension_star,
     is_consistent,
     normalization_row,
     optimize,
@@ -174,6 +175,20 @@ def _mixed_table(rng, space, names):
     )
 
 
+def test_one_cell_table_of_probability_one_adds_no_row(space_x):
+    """A degenerate table over one-label variables restates the normalization."""
+    one = Space((Variable("S", ("s1",)),))
+    sure = IntervalDistribution(one, [1.0], [1.0])
+    x = IntervalDistribution(space_x, [0.2, 0.3], [0.7, 0.8])
+    db = Database((sure, x))
+    cs = constraints_from_database(db)
+    assert cs.relations == (">=", "<=", ">=", "<=", "=")
+    assert cs.a.shape == (5, 2)
+    env = extension_star(db)
+    np.testing.assert_allclose(env.lower, [0.2, 0.3], atol=1e-12, rtol=0.0)
+    np.testing.assert_allclose(env.upper, [0.7, 0.8], atol=1e-12, rtol=0.0)
+
+
 def test_database_rows_follow_tables_and_cells_in_order():
     """The layout the simplex sees, against a row-by-row rebuild from projection_map."""
     rng = np.random.default_rng(303)
@@ -236,6 +251,33 @@ def test_optimize_rejects_bad_objectives(db_d):
         optimize(cs, np.array([1.0, 0.0, 0.0, np.inf]), "max")
     with pytest.raises(ValueError):
         optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), "best")
+    # The objective-matrix form: one direction per row.
+    with pytest.raises(ValueError):
+        optimize(cs, np.zeros((2, 3)), ["min", "max"])
+    with pytest.raises(ValueError):
+        optimize(cs, np.array([[1.0, 0.0, 0.0, np.nan]]), ["max"])
+    with pytest.raises(ValueError):
+        optimize(cs, np.zeros((2, 4)), ["min"])
+    with pytest.raises(ValueError):
+        optimize(cs, np.zeros((2, 4)), ["min", "best"])
+    with pytest.raises(ValueError):
+        optimize(cs, np.zeros((1, 1, 4)), ["min"])
+
+
+def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
+    rng = np.random.default_rng(41)
+    for db in (db_d, db_i):
+        cs = constraints_from_database(db)
+        objs = rng.normal(size=(6, cs.space.cell_count))
+        directions = ["min", "max", "max", "min", "max", "min"]
+        many = optimize(cs, objs, directions)
+        assert len(many) == len(objs)
+        for obj, direction, got in zip(objs, directions, many):
+            one = optimize(cs, obj, direction)
+            assert got.status == one.status == OPTIMAL
+            assert got.value == one.value
+            assert got.witness == one.witness
+            assert cs.max_residual(got.witness.p) <= FEASIBILITY_TOL
 
 
 def test_optimize_detects_contradictory_bounds(space_x):
@@ -344,6 +386,9 @@ def test_infeasibility_magnitude_reported(space_x):
     cs = constraints_from_database(Database((t1, t2)))
     out = optimize(cs, np.zeros(2), "max")
     assert out.status == INFEASIBLE
+    many = optimize(cs, np.eye(2), ["min", "max"])
+    assert [o.status for o in many] == [INFEASIBLE, INFEASIBLE]
+    assert [o.infeasibility for o in many] == [out.infeasibility] * 2
     # The reported magnitude can never undercut the true minimal L1 violation,
     # which is 1.0 for these clashing tables (attained at p = (0.45, 0.55)).
     assert out.infeasibility >= 1.0 - 1e-9

@@ -90,28 +90,34 @@ def test_ge_rows_need_phase_one():
     assert res.objective == pytest.approx(-0.5, abs=1e-9)
 
 
+def _random_system(rng):
+    """A random bounded system ``(a, rel, b, lo, hi)`` and a point ``x0`` feasible for it."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 4))
+    lo = rng.uniform(0.0, 0.3, n)
+    hi = lo + rng.uniform(0.05, 0.7, n)
+    x0 = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
+    a = rng.normal(size=(m, n))
+    rel, b = [], []
+    for row in a @ x0:
+        kind = rng.integers(3)
+        if kind == 0:
+            rel.append("<=")
+            b.append(row + rng.uniform(0.0, 0.5))
+        elif kind == 1:
+            rel.append(">=")
+            b.append(row - rng.uniform(0.0, 0.5))
+        else:
+            rel.append("=")
+            b.append(row)
+    return a, rel, np.array(b), lo, hi, x0
+
+
 def test_random_systems_around_known_feasible_points():
     rng = np.random.default_rng(7)
     for _ in range(150):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 4))
-        lo = rng.uniform(0.0, 0.3, n)
-        hi = lo + rng.uniform(0.05, 0.7, n)
-        x0 = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
-        a = rng.normal(size=(m, n))
-        rel, b = [], []
-        for row in a @ x0:
-            kind = rng.integers(3)
-            if kind == 0:
-                rel.append("<=")
-                b.append(row + rng.uniform(0.0, 0.5))
-            elif kind == 1:
-                rel.append(">=")
-                b.append(row - rng.uniform(0.0, 0.5))
-            else:
-                rel.append("=")
-                b.append(row)
-        c = rng.normal(size=n)
+        a, rel, b, lo, hi, x0 = _random_system(rng)
+        c = rng.normal(size=len(x0))
         res = _solve(a, rel, np.array(b), lo, hi, c)
         assert res.status == simplex.OPTIMAL
         # x0 is feasible, so the maximum cannot be below c @ x0.
@@ -133,3 +139,50 @@ def test_zero_width_bounds_fix_variables():
     )
     assert res.status == simplex.OPTIMAL
     np.testing.assert_allclose(res.x, [0.4, 0.5], atol=1e-9)
+
+
+# ------------------------------------------------ one phase 1, many costs ---
+
+
+def test_cost_matrix_rows_match_single_solves_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        a, rel, b, lo, hi, _ = _random_system(rng)
+        k = int(rng.integers(1, 7))
+        costs = rng.normal(size=(k, a.shape[1]))
+        costs[rng.random(k) < 0.3] = 0.0  # zero rows: phase 1's vertex as is
+        flags = rng.random(k) < 0.5
+        many = _solve(a, rel, b, lo, hi, costs, maximize=flags)
+        assert len(many) == k
+        for row, up, got in zip(costs, flags, many):
+            one = _solve(a, rel, b, lo, hi, row, maximize=bool(up))
+            assert got.status == one.status == simplex.OPTIMAL
+            np.testing.assert_array_equal(got.x, one.x)
+            assert got.objective == one.objective
+
+
+def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
+    a, rel, b = [[1.0], [1.0]], [">=", "<="], [0.8, 0.2]
+    single = _solve(a, rel, b, [0.0], [1.0], [1.0])
+    many = _solve(a, rel, b, [0.0], [1.0], [[1.0], [-1.0], [0.0]], maximize=[True, False, True])
+    assert len(many) == 3
+    for res in many:
+        assert res.status == simplex.INFEASIBLE
+        assert res.x is None and res.objective is None
+        assert res.infeasibility == single.infeasibility
+    crossed = _solve([[1.0]], ["<="], [1.0], [0.7], [0.3], [[1.0], [2.0]], maximize=[True, False])
+    assert [res.infeasibility for res in crossed] == [pytest.approx(0.4)] * 2
+
+
+def test_cost_matrix_shape_errors():
+    a, rel, b, lo, hi = [[1.0, 1.0]], ["<="], [0.8], [0, 0], [1, 1]
+    with pytest.raises(ValueError):
+        _solve(a, rel, b, lo, hi, [[1.0, 0.0, 0.0]], maximize=[True])
+    with pytest.raises(ValueError):
+        _solve(a, rel, b, lo, hi, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        _solve(a, rel, b, lo, hi, [[1.0, 0.0], [0.0, 1.0]], maximize=[True])
+    with pytest.raises(ValueError):
+        _solve(a, rel, b, lo, hi, [[1.0, 0.0]], maximize=True)
+    with pytest.raises(ValueError):
+        _solve(a, rel, b, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
