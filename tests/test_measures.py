@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from ivprob import (
     reconstruct,
     tighten,
 )
+from ivprob import measures
+from ivprob.docio import format_scalar
 from ivprob.measures import SCHEME_VARIABLE_CAP
 
 from oracles import (
@@ -227,6 +231,35 @@ def test_rank_schemes_ties_at_printed_precision_go_by_sort_key():
     assert keys == sorted(keys)
     tied = [str(r.scheme) for r in reports if round(r.loss, 9) == 0.294967616]
     assert tied == ["V1,V2|V1,V3", "V1,V3|V2,V3"]
+
+
+def test_loss_prints_and_sorts_the_same_under_last_bit_noise(monkeypatch):
+    # The 8 cells' endpoint gaps add up to 1,204 units of 1e-9, so the loss is
+    # 150.5 units: exactly halfway between two printed values.  A reconstruction
+    # moved by up to 2 ulp (LP rounding noise) must not change the printed loss,
+    # nor the order of two schemes tied at that loss.
+    sp = Space(tuple(Variable(f"V{k}", ("0", "1")) for k in (1, 2, 3)))
+    lower = np.array([0.05, 0.1, 0.02, 0.13, 0.07, 0.04, 0.11, 0.08])
+    upper = lower + np.array([0.1, 0.05, 0.2, 0.07, 0.03, 0.09, 0.06, 0.12])
+    i = IntervalDistribution(sp, lower, upper)
+    gaps = np.array([301, 0, 501, 100, 1, 200, 1, 100]) * 1e-9
+
+    def nudged(ulps):
+        lo, hi = lower, upper + gaps
+        for _ in range(abs(ulps)):
+            lo, hi = (np.nextafter(v, np.copysign(np.inf, ulps)) for v in (lo, hi))
+        return IntervalDistribution(sp, lo, hi)
+
+    first, second = Scheme.parse("V1|V2,V3"), Scheme.parse("V1,V2|V3")
+    assert first.sort_key() < second.sort_key()
+    printed = set()
+    for ulps_first, ulps_second in itertools.product(range(-2, 3), repeat=2):
+        recon = {str(first): nudged(ulps_first), str(second): nudged(ulps_second)}
+        monkeypatch.setattr(measures, "reconstruct", lambda i, scheme: recon[str(scheme)])
+        reports = rank_schemes(i, [second, first])
+        assert [str(r.scheme) for r in reports] == [str(first), str(second)]
+        printed.update(format_scalar(r.loss) for r in reports)
+    assert len(printed) == 1
 
 
 def test_rank_respects_refinement_order():
