@@ -4,8 +4,9 @@ A database induces a polytope of joint distributions: for every marginal table
 cell with bounds ``[l, u]`` the ambient cells projecting onto it must sum to a
 value in ``[l, u]``, and the whole joint vector must be a probability
 distribution.  :func:`constraints_from_database` assembles that system as a
-:class:`ConstraintSystem`, whose dense read-only arrays hold one
-fiber-indicator row per table-cell bound plus the normalization row, and
+:class:`ConstraintSystem` of ranged rows ``row_lower <= a @ p <= row_upper``:
+its dense read-only arrays hold one fiber-indicator row per table cell, with
+the cell's bounds as the row's range, plus the normalization row, and
 :func:`optimize` passes those arrays straight to the bounded-variable simplex
 to compute exact min/max linear objectives; this is the LP path behind
 database envelopes.  Given a matrix of objectives, :func:`optimize` makes one
@@ -29,10 +30,6 @@ from .model import Database, IntervalDistribution, RealDistribution, Space, requ
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = simplex.INFEASIBLE
 
-LE = simplex.LE
-GE = simplex.GE
-EQ = simplex.EQ
-
 #: Witness residuals and objective agreement are enforced at this tolerance.
 FEASIBILITY_TOL = simplex.FEASIBILITY_TOL
 
@@ -52,55 +49,51 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Rows ``a @ p  relations  b`` plus a finite per-cell variable box.
+    """Ranged rows ``row_lower <= a @ p <= row_upper`` plus a finite per-cell box.
 
-    ``a`` is a dense ``m x n`` matrix over the ``n`` cells of ``space``,
-    ``relations`` holds one of ``"<="``, ``">="``, ``"="`` per row and ``b``
-    the right-hand sides.  Exactly one row must be the normalization equality
+    ``a`` is a dense ``m x n`` matrix over the ``n`` cells of ``space``, and
+    ``row_lower`` and ``row_upper`` hold each row's finite range; equal bounds
+    make an equality row.  Exactly one row must be the normalization equality
     ``sum_j p_j = 1``; the box defaults to ``[0, 1]`` per cell and is
     tightened by box-style systems.  The arrays are stored as read-only copies.
     """
 
     space: Space
     a: np.ndarray
-    relations: tuple[str, ...]
-    b: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray = field(default=None)
     upper: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n = self.space.cell_count
         a = _read_only(self.a)
-        b = _read_only(self.b)
-        relations = tuple(self.relations)
+        row_lower = _read_only(self.row_lower)
+        row_upper = _read_only(self.row_upper)
         if a.ndim != 2 or a.shape[1] != n:
             raise ValueError(f"constraint matrix must have one column per cell ({n})")
-        if b.shape != (len(a),) or len(relations) != len(a):
-            raise ValueError("every row needs one relation and one right-hand side")
-        for rel in relations:
-            if rel not in (LE, GE, EQ):
-                raise ValueError(f"unknown relation {rel!r}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("constraint coefficients and right-hand sides must be finite")
+        if row_lower.shape != (len(a),) or row_upper.shape != (len(a),):
+            raise ValueError("every row needs one lower and one upper bound")
+        if not all(np.all(np.isfinite(v)) for v in (a, row_lower, row_upper)):
+            raise ValueError("constraint coefficients and row bounds must be finite")
         lower = _read_only(np.zeros(n) if self.lower is None else self.lower)
         upper = _read_only(np.ones(n) if self.upper is None else self.upper)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ValueError("bounds must have one entry per cell")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("cell bounds must be finite")
-        is_eq = np.array([rel == EQ for rel in relations], dtype=bool)
-        n_norm = int(np.sum(is_eq & (b == 1.0) & np.all(a == 1.0, axis=1)))
+        is_norm = (row_lower == 1.0) & (row_upper == 1.0) & np.all(a == 1.0, axis=1)
+        n_norm = int(np.sum(is_norm))
         if n_norm != 1:
             raise ValueError(f"expected exactly one normalization row, found {n_norm}")
-        for name, value in (("a", a), ("relations", relations), ("b", b),
+        for name, value in (("a", a), ("row_lower", row_lower), ("row_upper", row_upper),
                             ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, value)
 
     def max_residual(self, p: np.ndarray) -> float:
         """Largest violation of any row or bound at ``p``."""
-        rel = np.asarray(self.relations)
-        gap = self.a @ p - self.b
-        rows = np.where(rel == LE, gap, np.where(rel == GE, -gap, np.abs(gap)))
+        ap = self.a @ p
+        rows = np.maximum(self.row_lower - ap, ap - self.row_upper)
         bounds = np.maximum(self.lower - p, p - self.upper)
         return float(max(np.max(rows), np.max(bounds, initial=0.0), 0.0))
 
@@ -108,18 +101,16 @@ class ConstraintSystem:
 def constraints_from_database(db: Database, ambient: Space | None = None) -> ConstraintSystem:
     """The joint-cell system implied by a database's marginal tables.
 
-    Each table cell with bounds ``[l, u]`` yields a ``>= l`` and a ``<= u``
-    row over the indicator of the ambient cells that project onto it; a
-    degenerate cell yields a single equality instead, unless it is the
-    normalization row itself (a one-cell table of probability 1).  Rows follow
-    the tables and their cells in order; the normalization row is appended last.
+    Each table cell with bounds ``[l, u]`` yields one row ``l <= f @ p <= u``
+    over the indicator ``f`` of the ambient cells that project onto it, unless
+    it restates the normalization row (a one-cell table of probability 1).
+    Rows follow the tables and their cells in order; the normalization row is
+    appended last.
     """
     require_valid(db)
     if ambient is None:
         ambient = db.space
-    rows: list[np.ndarray] = []
-    relations: list[str] = []
-    rhs: list[float] = []
+    rows, row_lower, row_upper = [], [], []
     for table in db.tables:
         names = table.space.names
         for name in names:
@@ -127,21 +118,16 @@ def constraints_from_database(db: Database, ambient: Space | None = None) -> Con
                 raise ValueError(f"ambient space does not cover table variable {name!r}")
         pm = ambient.projection_map(names)
         fibers = pm == np.arange(table.space.cell_count)[:, None]
-        for fiber, lo, hi in zip(fibers, table.lower, table.upper):
-            if lo == hi == 1.0 and fiber.all():
-                continue  # restates the normalization row (a one-cell table)
-            if lo == hi:
-                rows.append(fiber)
-                relations.append(EQ)
-                rhs.append(lo)
-            else:
-                rows += [fiber, fiber]
-                relations += [GE, LE]
-                rhs += [lo, hi]
-    rows.append(normalization_row(ambient))
-    relations.append(EQ)
-    rhs.append(1.0)
-    return ConstraintSystem(ambient, rows, tuple(relations), rhs)
+        keep = ~((table.lower == 1.0) & (table.upper == 1.0) & fibers.all(axis=1))
+        rows.append(fibers[keep])
+        row_lower.append(table.lower[keep])
+        row_upper.append(table.upper[keep])
+    rows.append(normalization_row(ambient)[None, :])
+    row_lower.append([1.0])
+    row_upper.append([1.0])
+    return ConstraintSystem(
+        ambient, np.vstack(rows), np.concatenate(row_lower), np.concatenate(row_upper)
+    )
 
 
 def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
@@ -152,7 +138,7 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
     """
     i.require_valid()
     return ConstraintSystem(
-        i.space, [normalization_row(i.space)], (EQ,), [1.0], i.lower, i.upper
+        i.space, [normalization_row(i.space)], [1.0], [1.0], i.lower, i.upper
     )
 
 
@@ -195,7 +181,7 @@ def optimize(
             raise ValueError(f"direction must be 'min' or 'max', got {d!r}")
 
     results = simplex.solve(
-        cs.a, cs.relations, cs.b, cs.lower, cs.upper, objs,
+        cs.a, cs.row_lower, cs.row_upper, cs.lower, cs.upper, objs,
         maximize=[d == "max" for d in directions],
     )
     outcomes = [_outcome(cs, row, res) for row, res in zip(objs, results)]

@@ -3,19 +3,28 @@
 Solves
 
     maximize  c . x
-    s.t.      A x  (<=, >=, =)  b        (row-wise relations)
-              lo <= x <= hi              (finite bounds on every structural
-                                          variable; the feasible region here
-                                          always sits inside the unit box)
+    s.t.      row_lower <= A x <= row_upper    (ranged rows; equal bounds make
+                                                an equality row, and one side
+                                                may be infinite)
+              lo <= x <= hi                    (finite bounds on every
+                                                structural variable; the
+                                                feasible region here always
+                                                sits inside the unit box)
 
-The method is the textbook two-phase primal simplex generalized to bounded
-variables: nonbasic variables rest at one of their bounds, a pivot either
-swaps a basic/nonbasic pair or flips the entering variable to its opposite
-bound, and Bland's smallest-index rule (applied to entering candidates and to
-ratio-test ties alike) guarantees termination without cycling.  Each iteration
-refactorizes the small basis with dense solves, so no error accumulates across
-pivots.
+Every row gets one logical variable ``s`` with ``A x - s = 0`` and
+``row_lower <= s <= row_upper``, so a row is stated once whatever its range,
+the standard input of bounded-variable simplex codes (Maros, *Computational
+Techniques of the Simplex Method*, 2003).  The method is the textbook
+two-phase primal simplex generalized to bounded variables: nonbasic variables
+rest at one of their bounds, a pivot either swaps a basic/nonbasic pair or
+flips the entering variable to its opposite bound, and Bland's smallest-index
+rule (applied to entering candidates and to ratio-test ties alike) guarantees
+termination without cycling.  Each iteration refactorizes the small basis with
+dense solves, so no error accumulates across pivots.
 
+Phase 1 starts from ``x = lo``.  A row whose start ``A lo`` lies in its range
+puts its logical in the basis; any other row fixes its logical at the violated
+bound and puts an artificial variable in the basis, whose value is the gap.
 Phase 1 does not depend on the objective, so it runs once per system: given a
 ``k x n`` cost matrix, every row's phase 2 starts from a copy of the phase-1
 basis and bound flags.  Each row's result is therefore bit-identical to a
@@ -39,10 +48,6 @@ from .errors import SolverError
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-LE = "<="
-GE = ">="
-EQ = "="
-
 #: Residual/optimality tolerance.
 FEASIBILITY_TOL = 1e-9
 #: Entries below this magnitude never serve as pivot elements.
@@ -60,8 +65,8 @@ class SimplexResult:
 
 def solve(
     a: np.ndarray,
-    relations,
-    b: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     c: np.ndarray,
@@ -73,13 +78,11 @@ def solve(
     and one :class:`SimplexResult` is returned; or a ``k x n`` cost matrix
     with one flag per row, and a list of ``k`` results is returned, all
     sharing one phase 1 (so an infeasible system gives ``k`` infeasible
-    results with one ``infeasibility``).
+    results with one ``infeasibility``).  Crossed bounds, of a column or of a
+    row, make the system infeasible with the largest crossing as its
+    ``infeasibility``.
     """
     a = np.asarray(a, dtype=np.float64)
-    relations = list(relations)
-    b = np.asarray(b, dtype=np.float64)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     m, n = a.shape
     if m == 0:
@@ -91,64 +94,37 @@ def solve(
         raise ValueError(f"every cost vector needs one coefficient per column ({n})")
     if flags.shape != (len(costs),):
         raise ValueError(f"expected one maximize flag per cost row ({len(costs)})")
-    if np.any(lo > hi):
-        infeasible = SimplexResult(INFEASIBLE, None, None, float(np.max(lo - hi)))
+
+    # Extended problem: structural | one logical per row | artificials.
+    lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
+    hi_x = np.concatenate([hi, row_upper]).astype(np.float64)
+    if np.any(lo_x > hi_x):
+        infeasible = SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))
         return infeasible if single else [infeasible] * len(costs)
 
-    # Extended problem: structural | slacks (inequality rows) | artificials.
-    slack_of = [-1] * m
-    n_slack = 0
-    for i, rel in enumerate(relations):
-        if rel not in (LE, GE, EQ):
-            raise ValueError(f"unknown relation {rel!r}")
-        if rel != EQ:
-            slack_of[i] = n + n_slack
-            n_slack += 1
-    art0 = n + n_slack
-    n_tot = art0 + m
-
-    ax = np.zeros((m, n_tot))
-    ax[:, :n] = a
-    lo_x = np.zeros(n_tot)
-    hi_x = np.zeros(n_tot)
-    lo_x[:n] = lo
-    hi_x[:n] = hi
-    for i, rel in enumerate(relations):
-        j = slack_of[i]
-        if j >= 0:
-            ax[i, j] = 1.0
-            # a.x + s = b with s >= 0 for "<=" rows, s <= 0 for ">=" rows.
-            lo_x[j], hi_x[j] = (0.0, np.inf) if rel == LE else (-np.inf, 0.0)
-
-    # Nonbasic start: structural at lower bound, slacks at zero.
-    at_upper = np.zeros(n_tot, dtype=bool)
-    for i, rel in enumerate(relations):
-        if rel == GE:
-            at_upper[slack_of[i]] = True  # the finite bound of a ">=" slack
-
-    start = np.where(at_upper, hi_x, lo_x)
-    start[art0:] = 0.0
-    residual = b - ax @ start
-
-    # Basis: the row's slack when it can absorb the residual, else the
-    # artificial, signed so its starting value is nonnegative.
-    basis = np.empty(m, dtype=np.intp)
-    for i, rel in enumerate(relations):
-        j = slack_of[i]
-        if rel == LE and residual[i] >= 0.0:
-            basis[i] = j
-        elif rel == GE and residual[i] <= 0.0:
-            basis[i] = j
-        else:
-            basis[i] = art0 + i
-        ax[i, art0 + i] = 1.0 if residual[i] >= 0.0 else -1.0
-        if basis[i] == art0 + i:
-            hi_x[art0 + i] = np.inf
+    # Nonbasic start: structural at lower bound.  A row whose start lies
+    # outside its range rests its logical at the violated bound and takes a
+    # basic artificial, signed so that its value, the gap, is nonnegative.
+    start = a @ lo_x[:n]
+    below = start < lo_x[n:]
+    above = start > hi_x[n:]
+    bad = np.flatnonzero(below | above)
+    art0 = n + m
+    artificial = np.zeros((m, len(bad)))
+    artificial[bad, np.arange(len(bad))] = np.where(below[bad], 1.0, -1.0)
+    ax = np.hstack([a, -np.eye(m), artificial])
+    lo_x = np.concatenate([lo_x, np.zeros(len(bad))])
+    hi_x = np.concatenate([hi_x, np.full(len(bad), np.inf)])
+    at_upper = np.zeros(len(lo_x), dtype=bool)
+    at_upper[n:art0] = above
+    basis = n + np.arange(m)
+    basis[bad] = art0 + np.arange(len(bad))
+    rhs = np.zeros(m)
 
     # Phase 1: drive the total artificial mass to zero.
-    c1 = np.zeros(n_tot)
+    c1 = np.zeros(len(lo_x))
     c1[art0:] = -1.0
-    basis, at_upper, x = _iterate(ax, b, lo_x, hi_x, c1, basis, at_upper)
+    basis, at_upper, x = _iterate(ax, rhs, lo_x, hi_x, c1, basis, at_upper)
     infeas = float(x[art0:].sum())
     if infeas > FEASIBILITY_TOL:
         infeasible = SimplexResult(INFEASIBLE, None, None, infeas)
@@ -156,13 +132,12 @@ def solve(
 
     # Phase 2: pin artificials at zero and optimize each real objective from
     # a copy of the phase-1 basis (_iterate updates its basis in place).
-    lo_x[art0:] = 0.0
     hi_x[art0:] = 0.0
     results = []
     for row, up in zip(costs, flags):
-        c2 = np.zeros(n_tot)
+        c2 = np.zeros(len(lo_x))
         c2[:n] = row if up else -row
-        _, _, x = _iterate(ax, b, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
+        _, _, x = _iterate(ax, rhs, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
         xs = x[:n].copy()
         results.append(SimplexResult(OPTIMAL, xs, float(row @ xs), 0.0))
     return results[0] if single else results

@@ -92,11 +92,11 @@ def grid_linear_range(
     """Min/max of ``objective @ p`` over the gridded box-simplex set.
 
     All cells but the last are gridded at ``step``; the last absorbs the
-    remainder exactly.  ``rows`` are extra ``(coefficients, relation, rhs)``
-    constraints filtered at the grid points; ``row_slack`` relaxes them, which
-    lets a caller bracket the true optimum (exact filter: every accepted point
-    is feasible; slackened filter: every feasible point has an accepted grid
-    neighbour).
+    remainder exactly.  ``rows`` are extra ranged constraints
+    ``(coefficients, row_lower, row_upper)`` filtered at the grid points;
+    ``row_slack`` relaxes them, which lets a caller bracket the true optimum
+    (exact filter: every accepted point is feasible; slackened filter: every
+    feasible point has an accepted grid neighbour).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -110,15 +110,10 @@ def grid_linear_range(
     def combine(coefs):
         return sum(c * g for c, g in zip(coefs[: n - 1], grids)) + coefs[n - 1] * last
 
-    for coefs, relation, rhs in rows:
-        coefs = np.asarray(coefs, dtype=float)
-        val = combine(coefs)
-        if relation == "<=":
-            ok = ok & (val <= rhs + row_slack + FEAS_TOL)
-        elif relation == ">=":
-            ok = ok & (val >= rhs - row_slack - FEAS_TOL)
-        else:
-            ok = ok & (np.abs(val - rhs) <= row_slack + FEAS_TOL)
+    for coefs, row_lower, row_upper in rows:
+        val = combine(np.asarray(coefs, dtype=float))
+        slack = row_slack + FEAS_TOL
+        ok = ok & (val >= row_lower - slack) & (val <= row_upper + slack)
     vals = np.asarray(combine(objective))[np.asarray(ok)]
     if vals.size == 0:
         return np.inf, -np.inf

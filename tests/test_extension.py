@@ -73,8 +73,8 @@ def test_single_uniform_marginal_leaves_half_mass_free(space_x, space_xy):
     np.testing.assert_allclose(got.upper, np.full(4, 0.5), atol=1e-9)
     # Cross-check each endpoint against a brute-force grid over the polytope.
     rows = [
-        (np.array([1.0, 1.0, 0.0, 0.0]), "=", 0.5),
-        (np.array([0.0, 0.0, 1.0, 1.0]), "=", 0.5),
+        (np.array([1.0, 1.0, 0.0, 0.0]), 0.5, 0.5),
+        (np.array([0.0, 0.0, 1.0, 1.0]), 0.5, 0.5),
     ]
     for cell in range(4):
         obj = np.zeros(4)

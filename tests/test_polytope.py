@@ -34,10 +34,10 @@ def _binary(name, labels):
     return Variable(name, labels)
 
 
-def _with_normalization(space, coef, relation, rhs):
-    """A system holding one row plus the normalization row."""
+def _with_normalization(space, coef, row_lower, row_upper):
+    """A system holding one ranged row plus the normalization row."""
     return ConstraintSystem(
-        space, [coef, normalization_row(space)], (relation, "="), [rhs, 1.0]
+        space, [coef, normalization_row(space)], [row_lower, 1.0], [row_upper, 1.0]
     )
 
 
@@ -46,19 +46,21 @@ def test_normalization_row_sums_all_cells(space_xy):
     np.testing.assert_array_equal(row, [1.0, 1.0, 1.0, 1.0])
     assert not row.flags.writeable
     cs = constraints_from_box(IntervalDistribution(space_xy, np.zeros(4), np.ones(4)))
-    assert cs.relations == ("=",)
-    assert cs.b[0] == 1.0
+    np.testing.assert_array_equal(cs.row_lower, [1.0])
+    np.testing.assert_array_equal(cs.row_upper, [1.0])
 
 
 def test_constraint_residual(space_xy):
     x = np.array([0.4, 0.0, 0.3, 0.3])
-    le = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], "<=", 0.5)
-    assert le.max_residual(x) == pytest.approx(0.2)
-    ge = _with_normalization(space_xy, [1.0, 0.0, 0.0, 0.0], ">=", 0.6)
-    assert ge.max_residual(x) == pytest.approx(0.2)
-    eq = _with_normalization(space_xy, [0.0, 1.0, 0.0, 0.0], "=", 0.1)
+    above = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], 0.0, 0.5)
+    assert above.max_residual(x) == pytest.approx(0.2)
+    below = _with_normalization(space_xy, [1.0, 0.0, 0.0, 0.0], 0.6, 1.0)
+    assert below.max_residual(x) == pytest.approx(0.2)
+    eq = _with_normalization(space_xy, [0.0, 1.0, 0.0, 0.0], 0.1, 0.1)
     assert eq.max_residual(x) == pytest.approx(0.1)
-    ok = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], ">=", 0.5)
+    # A row of width zero is violated by the same gap from either side.
+    assert eq.max_residual(np.array([0.4, 0.2, 0.2, 0.2])) == pytest.approx(0.1)
+    ok = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], 0.5, 1.0)
     assert ok.max_residual(x) == 0.0
     # The normalization row and the cell box are checked too.
     assert ok.max_residual(np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
@@ -67,18 +69,21 @@ def test_constraint_residual(space_xy):
 
 def test_system_requires_exactly_one_normalization(space_x):
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, np.empty((0, 2)), (), np.empty(0))
+        ConstraintSystem(space_x, np.empty((0, 2)), np.empty(0), np.empty(0))
     row = normalization_row(space_x)
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [row, row], ("=", "="), [1.0, 1.0])
-    # All-ones coefficients with another relation or right-hand side do not count.
+        ConstraintSystem(space_x, [row, row], [1.0, 1.0], [1.0, 1.0])
+    # All-ones coefficients with any other range do not count.
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [row], ("<=",), [1.0])
+        ConstraintSystem(space_x, [row], [0.0], [1.0])
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [row], ("=",), [0.5])
-    cs = ConstraintSystem(space_x, [row], ("=",), [1.0])
+        ConstraintSystem(space_x, [row], [1.0], [1.5])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [row], [0.5], [0.5])
+    cs = ConstraintSystem(space_x, [row], [1.0], [1.0])
     assert cs.a.shape == (1, 2)
-    assert cs.relations == ("=",)
+    np.testing.assert_array_equal(cs.row_lower, [1.0])
+    np.testing.assert_array_equal(cs.row_upper, [1.0])
     np.testing.assert_allclose(cs.lower, [0.0, 0.0])
     np.testing.assert_allclose(cs.upper, [1.0, 1.0])
 
@@ -86,30 +91,36 @@ def test_system_requires_exactly_one_normalization(space_x):
 def test_system_rejects_bad_rows(space_x):
     row = normalization_row(space_x)
     with pytest.raises(ValueError):  # one column too many
-        ConstraintSystem(space_x, [[1.0, 1.0, 1.0]], ("=",), [1.0])
+        ConstraintSystem(space_x, [[1.0, 1.0, 1.0]], [1.0], [1.0])
     with pytest.raises(ValueError):  # a flat row is not a matrix
-        ConstraintSystem(space_x, row, ("=",), [1.0])
-    with pytest.raises(ValueError):  # right-hand sides do not match the rows
-        ConstraintSystem(space_x, [row], ("=",), [1.0, 0.5])
-    with pytest.raises(ValueError):  # relations do not match the rows
-        ConstraintSystem(space_x, [row], ("=", "<="), [1.0])
+        ConstraintSystem(space_x, row, [1.0], [1.0])
+    with pytest.raises(ValueError):  # lower row bounds do not match the rows
+        ConstraintSystem(space_x, [row], [1.0, 0.5], [1.0])
+    with pytest.raises(ValueError):  # upper row bounds do not match the rows
+        ConstraintSystem(space_x, [row], [1.0], [1.0, 0.5])
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [[1.0, 0.0], row], ("<", "="), [0.5, 1.0])
+        ConstraintSystem(space_x, [[np.inf, 0.0], row], [0.0, 1.0], [0.5, 1.0])
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [[np.inf, 0.0], row], ("<=", "="), [0.5, 1.0])
+        ConstraintSystem(space_x, [[1.0, 0.0], row], [np.nan, 1.0], [0.5, 1.0])
+    # The solver takes one-sided rows, but a system's rows stay finite.
     with pytest.raises(ValueError):
-        ConstraintSystem(space_x, [[1.0, 0.0], row], ("<=", "="), [np.nan, 1.0])
+        ConstraintSystem(space_x, [[1.0, 0.0], row], [0.0, 1.0], [np.inf, 1.0])
+    with pytest.raises(ValueError):
+        ConstraintSystem(space_x, [[1.0, 0.0], row], [-np.inf, 1.0], [0.5, 1.0])
 
 
 def test_system_arrays_are_read_only_copies(space_x):
     a = np.array([[1.0, 0.0], [1.0, 1.0]])
-    b = np.array([0.5, 1.0])
-    cs = ConstraintSystem(space_x, a, ("<=", "="), b)
+    row_lower = np.array([0.2, 1.0])
+    row_upper = np.array([0.5, 1.0])
+    cs = ConstraintSystem(space_x, a, row_lower, row_upper)
     a[0, 0] = 7.0
-    b[0] = 7.0
+    row_lower[0] = 7.0
+    row_upper[0] = 7.0
     np.testing.assert_array_equal(cs.a, [[1.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(cs.b, [0.5, 1.0])
-    for arr in (cs.a, cs.b, cs.lower, cs.upper):
+    np.testing.assert_array_equal(cs.row_lower, [0.2, 1.0])
+    np.testing.assert_array_equal(cs.row_upper, [0.5, 1.0])
+    for arr in (cs.a, cs.row_lower, cs.row_upper, cs.lower, cs.upper):
         with pytest.raises(ValueError):
             arr[0] = 0.25
     built = constraints_from_database(
@@ -118,7 +129,9 @@ def test_system_arrays_are_read_only_copies(space_x):
     with pytest.raises(ValueError):
         built.a[0, 0] = 0.0
     with pytest.raises(ValueError):
-        built.b[0] = 0.0
+        built.row_lower[0] = 0.0
+    with pytest.raises(ValueError):
+        built.row_upper[0] = 0.0
 
 
 def test_system_rejects_bad_bounds(space_x):
@@ -127,7 +140,7 @@ def test_system_rejects_bad_bounds(space_x):
         ConstraintSystem(
             space_x,
             [row],
-            ("=",),
+            [1.0],
             [1.0],
             lower=np.array([0.0]),
             upper=np.array([1.0]),
@@ -136,7 +149,7 @@ def test_system_rejects_bad_bounds(space_x):
         ConstraintSystem(
             space_x,
             [row],
-            ("=",),
+            [1.0],
             [1.0],
             lower=np.array([0.0, np.nan]),
             upper=np.array([1.0, 1.0]),
@@ -146,19 +159,23 @@ def test_system_rejects_bad_bounds(space_x):
 def test_degenerate_tables_become_equality_rows(db_d):
     cs = constraints_from_database(db_d)
     assert cs.a.shape == (5, 4)
-    assert cs.relations == ("=",) * 5
+    np.testing.assert_array_equal(cs.row_lower, cs.row_upper)
     np.testing.assert_array_equal(cs.a[-1], [1.0, 1.0, 1.0, 1.0])
-    assert cs.b[-1] == pytest.approx(1.0)
+    assert cs.row_lower[-1] == 1.0
     # p(x1) row sums cells 0 and 1 of the row-major XY space.
     np.testing.assert_array_equal(cs.a[0], [1.0, 1.0, 0.0, 0.0])
-    assert sorted(cs.b[:-1]) == pytest.approx([0.3, 0.4, 0.6, 0.7])
+    assert sorted(cs.row_lower[:-1]) == pytest.approx([0.3, 0.4, 0.6, 0.7])
 
 
-def test_interval_tables_become_inequality_pairs(db_i):
+def test_interval_tables_give_one_row_per_table_cell(db_i):
     cs = constraints_from_database(db_i)
-    body = cs.relations[:-1]
-    assert len(body) == 16
-    assert body == (">=", "<=") * 8
+    cells = sum(t.space.cell_count for t in db_i.tables)
+    assert cells == 8
+    assert cs.a.shape == (cells + 1, db_i.space.cell_count)
+    for got, want in ((cs.row_lower, [t.lower for t in db_i.tables]),
+                      (cs.row_upper, [t.upper for t in db_i.tables])):
+        np.testing.assert_array_equal(got[:-1], np.concatenate(want))
+    assert np.all(cs.row_lower[:-1] < cs.row_upper[:-1])
 
 
 def _mixed_table(rng, space, names):
@@ -182,8 +199,9 @@ def test_one_cell_table_of_probability_one_adds_no_row(space_x):
     x = IntervalDistribution(space_x, [0.2, 0.3], [0.7, 0.8])
     db = Database((sure, x))
     cs = constraints_from_database(db)
-    assert cs.relations == (">=", "<=", ">=", "<=", "=")
-    assert cs.a.shape == (5, 2)
+    assert cs.a.shape == (3, 2)
+    np.testing.assert_array_equal(cs.row_lower, [0.2, 0.3, 1.0])
+    np.testing.assert_array_equal(cs.row_upper, [0.7, 0.8, 1.0])
     env = extension_star(db)
     np.testing.assert_allclose(env.lower, [0.2, 0.3], atol=1e-12, rtol=0.0)
     np.testing.assert_allclose(env.upper, [0.7, 0.8], atol=1e-12, rtol=0.0)
@@ -202,26 +220,20 @@ def test_database_rows_follow_tables_and_cells_in_order():
             tables.append(_mixed_table(rng, space, subset))
         cs = constraints_from_database(Database(tuple(tables), space=space))
 
-        rows, relations, rhs = [], [], []
+        rows, row_lower, row_upper = [], [], []
         for table in tables:
             pm = space.projection_map(table.space.names)
             for t in range(table.space.cell_count):
-                fiber = [1.0 if pm[j] == t else 0.0 for j in range(space.cell_count)]
-                if table.lower[t] == table.upper[t]:
-                    rows.append(fiber)
-                    relations.append("=")
-                    rhs.append(table.lower[t])
-                else:
-                    rows += [fiber, fiber]
-                    relations += [">=", "<="]
-                    rhs += [table.lower[t], table.upper[t]]
+                rows.append([1.0 if pm[j] == t else 0.0 for j in range(space.cell_count)])
+                row_lower.append(table.lower[t])
+                row_upper.append(table.upper[t])
         rows.append([1.0] * space.cell_count)
-        relations.append("=")
-        rhs.append(1.0)
+        row_lower.append(1.0)
+        row_upper.append(1.0)
 
         np.testing.assert_array_equal(cs.a, rows)
-        assert cs.relations == tuple(relations)
-        np.testing.assert_array_equal(cs.b, rhs)
+        np.testing.assert_array_equal(cs.row_lower, row_lower)
+        np.testing.assert_array_equal(cs.row_upper, row_upper)
         np.testing.assert_array_equal(cs.lower, np.zeros(space.cell_count))
         np.testing.assert_array_equal(cs.upper, np.ones(space.cell_count))
 
@@ -284,7 +296,7 @@ def test_optimize_detects_contradictory_bounds(space_x):
     cs = ConstraintSystem(
         space_x,
         [normalization_row(space_x)],
-        ("=",),
+        [1.0],
         [1.0],
         lower=np.array([0.8, 0.5]),
         upper=np.array([0.9, 0.6]),
@@ -297,8 +309,9 @@ def test_optimize_detects_contradictory_bounds(space_x):
 def test_empty_database_with_explicit_space_gives_unit_box(space_x):
     db = Database((), space=space_x)
     cs = constraints_from_database(db)
-    assert cs.relations == ("=",)  # just normalization
-    np.testing.assert_array_equal(cs.a, [[1.0, 1.0]])
+    np.testing.assert_array_equal(cs.a, [[1.0, 1.0]])  # just normalization
+    np.testing.assert_array_equal(cs.row_lower, [1.0])
+    np.testing.assert_array_equal(cs.row_upper, [1.0])
     top = optimize(cs, np.array([1.0, 0.0]), "max")
     bot = optimize(cs, np.array([1.0, 0.0]), "min")
     assert top.value == pytest.approx(1.0, abs=1e-9)
@@ -313,8 +326,8 @@ def test_box_system_uses_variable_bounds(space_xy):
     )
     cs = constraints_from_box(i)
     np.testing.assert_array_equal(cs.a, [[1.0, 1.0, 1.0, 1.0]])
-    assert cs.relations == ("=",)
-    np.testing.assert_array_equal(cs.b, [1.0])
+    np.testing.assert_array_equal(cs.row_lower, [1.0])
+    np.testing.assert_array_equal(cs.row_upper, [1.0])
     np.testing.assert_allclose(cs.lower, i.lower)
     np.testing.assert_allclose(cs.upper, i.upper)
 
@@ -341,7 +354,7 @@ def test_database_envelopes_bracket_grid_oracle(space_xy):
     for _ in range(5):
         db = random_consistent_database(rng, space_xy)
         cs = constraints_from_database(db)
-        rows = list(zip(cs.a[:-1], cs.relations[:-1], cs.b[:-1]))
+        rows = list(zip(cs.a[:-1], cs.row_lower[:-1], cs.row_upper[:-1]))
         obj = rng.normal(size=4)
         lo_lp = optimize(cs, obj, "min").value
         hi_lp = optimize(cs, obj, "max").value
@@ -364,8 +377,10 @@ def test_database_envelopes_bracket_grid_oracle(space_xy):
 def test_row_scaling_does_not_change_optimum(db_d):
     cs = constraints_from_database(db_d)
     # Every row but the last, the normalization row, is doubled.
-    scale = np.where(np.arange(len(cs.b)) < len(cs.b) - 1, 2.0, 1.0)
-    doubled = ConstraintSystem(cs.space, scale[:, None] * cs.a, cs.relations, scale * cs.b)
+    scale = np.where(np.arange(len(cs.a)) < len(cs.a) - 1, 2.0, 1.0)
+    doubled = ConstraintSystem(
+        cs.space, scale[:, None] * cs.a, scale * cs.row_lower, scale * cs.row_upper
+    )
     obj = np.array([1.0, 0.0, 0.0, 0.0])
     assert optimize(doubled, obj, "max").value == pytest.approx(0.6, abs=1e-9)
     assert optimize(doubled, obj, "min").value == pytest.approx(0.3, abs=1e-9)

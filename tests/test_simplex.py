@@ -8,11 +8,14 @@ import pytest
 from ivprob import simplex
 
 
-def _solve(a, rel, b, lo, hi, c, maximize=True):
+INF = np.inf
+
+
+def _solve(a, row_lower, row_upper, lo, hi, c, maximize=True):
     return simplex.solve(
         np.asarray(a, float),
-        rel,
-        np.asarray(b, float),
+        np.asarray(row_lower, float),
+        np.asarray(row_upper, float),
         np.asarray(lo, float),
         np.asarray(hi, float),
         np.asarray(c, float),
@@ -21,7 +24,7 @@ def _solve(a, rel, b, lo, hi, c, maximize=True):
 
 
 def test_simple_capacity_maximum():
-    res = _solve([[1.0, 1.0]], ["<="], [0.8], [0, 0], [1, 1], [1.0, 1.0])
+    res = _solve([[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1], [1.0, 1.0])
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.8, abs=1e-9)
     assert res.x.sum() == pytest.approx(0.8, abs=1e-9)
@@ -29,57 +32,88 @@ def test_simple_capacity_maximum():
 
 def test_equality_and_bounds():
     res = _solve(
-        [[1.0, 1.0, 1.0]], ["="], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0]
+        [[1.0, 1.0, 1.0]], [1.0], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0]
     )
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.3, abs=1e-9)
     low = _solve(
-        [[1.0, 1.0, 1.0]], ["="], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0],
+        [[1.0, 1.0, 1.0]], [1.0], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0],
         maximize=False,
     )
     assert low.objective == pytest.approx(0.1, abs=1e-9)
 
 
-def test_minimize_recurses_through_negation():
-    res = _solve([[1.0, 2.0]], ["<="], [1.0], [0, 0], [1, 1], [1.0, 1.0], maximize=False)
+def test_minimize_finds_the_smallest_objective():
+    res = _solve([[1.0, 2.0]], [-INF], [1.0], [0, 0], [1, 1], [1.0, 1.0], maximize=False)
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_infeasible_reports_magnitude():
     res = _solve(
-        [[1.0], [1.0]], [">=", "<="], [0.8, 0.2], [0.0], [1.0], [1.0]
+        [[1.0], [1.0]], [0.8, -INF], [INF, 0.2], [0.0], [1.0], [1.0]
     )
     assert res.status == simplex.INFEASIBLE
     assert res.infeasibility == pytest.approx(0.6, abs=1e-6)
 
 
 def test_contradictory_variable_bounds_are_infeasible():
-    res = _solve([[1.0]], ["<="], [1.0], [0.7], [0.3], [1.0])
+    res = _solve([[1.0]], [-INF], [1.0], [0.7], [0.3], [1.0])
     assert res.status == simplex.INFEASIBLE
+
+
+def test_crossed_row_range_is_infeasible_by_its_gap():
+    # Like crossed column bounds: no phase 1, the crossing is the infeasibility.
+    res = _solve([[1.0, 1.0], [1.0, 0.0]], [0.7, 0.0], [0.3, 1.0], [0, 0], [1, 1], [1.0, 0.0])
+    assert res.status == simplex.INFEASIBLE
+    assert res.x is None and res.objective is None
+    assert res.infeasibility == pytest.approx(0.4)
+    many = _solve([[1.0]], [0.9], [0.2], [0.0], [1.0], [[1.0], [1.0]], maximize=[True, False])
+    assert [r.status for r in many] == [simplex.INFEASIBLE] * 2
+    assert [r.infeasibility for r in many] == [pytest.approx(0.7)] * 2
+    # Crossed columns and rows together: the larger crossing is reported.
+    both = _solve([[1.0]], [0.9], [0.2], [0.6], [0.5], [1.0])
+    assert both.infeasibility == pytest.approx(0.7)
+
+
+def test_one_sided_rows_match_loose_finite_ranges():
+    # An infinite side never binds, so it acts like any finite bound that the
+    # box keeps out of reach (|a @ x| < 6 here); a row open on both sides is free.
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        lo = rng.uniform(0.0, 0.3, n)
+        hi = lo + rng.uniform(0.05, 0.7, n)
+        x0 = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
+        a = rng.uniform(-1.0, 1.0, size=(3, n))
+        mid = a @ x0
+        row_lower = np.array([-INF, mid[1] - rng.uniform(0.0, 0.2), -INF])
+        row_upper = np.array([mid[0] + rng.uniform(0.0, 0.2), INF, INF])
+        loose_lower = np.where(np.isinf(row_lower), -6.0, row_lower)
+        loose_upper = np.where(np.isinf(row_upper), 6.0, row_upper)
+        c = rng.normal(size=n)
+        for up in (True, False):
+            one_sided = _solve(a, row_lower, row_upper, lo, hi, c, maximize=up)
+            finite = _solve(a, loose_lower, loose_upper, lo, hi, c, maximize=up)
+            assert one_sided.status == finite.status == simplex.OPTIMAL
+            assert one_sided.objective == pytest.approx(finite.objective, abs=1e-9)
+            ax = a @ one_sided.x
+            assert ax[0] <= row_upper[0] + 1e-9 and ax[1] >= row_lower[1] - 1e-9
 
 
 def test_negative_costs_park_variables_at_lower_bounds():
     res = _solve(
-        [[1.0, 1.0]], ["<="], [1.5], [0.2, 0.3], [1.0, 1.0], [-1.0, -2.0]
+        [[1.0, 1.0]], [-INF], [1.5], [0.2, 0.3], [1.0, 1.0], [-1.0, -2.0]
     )
     assert res.status == simplex.OPTIMAL
     np.testing.assert_allclose(res.x, [0.2, 0.3], atol=1e-9)
 
 
-def test_relations_may_be_any_iterable():
-    res = _solve(
-        [[1.0, 1.0]], iter(["<="]), [0.5], [0, 0], [1, 1], [1.0, 0.0]
-    )
-    assert res.status == simplex.OPTIMAL
-    assert res.objective == pytest.approx(0.5, abs=1e-9)
-
-
 def test_ge_rows_need_phase_one():
     res = _solve(
         [[1.0, 1.0], [1.0, 0.0]],
-        [">=", "<="],
-        [0.9, 0.4],
+        [0.9, -INF],
+        [INF, 0.4],
         [0, 0],
         [1, 1],
         [0.0, -1.0],
@@ -91,51 +125,49 @@ def test_ge_rows_need_phase_one():
 
 
 def _random_system(rng):
-    """A random bounded system ``(a, rel, b, lo, hi)`` and a point ``x0`` feasible for it."""
+    """A random system ``(a, row_lower, row_upper, lo, hi)`` and a point ``x0`` feasible for it."""
     n = int(rng.integers(2, 6))
     m = int(rng.integers(1, 4))
     lo = rng.uniform(0.0, 0.3, n)
     hi = lo + rng.uniform(0.05, 0.7, n)
     x0 = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
     a = rng.normal(size=(m, n))
-    rel, b = [], []
+    row_lower, row_upper = [], []
     for row in a @ x0:
-        kind = rng.integers(3)
-        if kind == 0:
-            rel.append("<=")
-            b.append(row + rng.uniform(0.0, 0.5))
-        elif kind == 1:
-            rel.append(">=")
-            b.append(row - rng.uniform(0.0, 0.5))
-        else:
-            rel.append("=")
-            b.append(row)
-    return a, rel, np.array(b), lo, hi, x0
+        kind = rng.integers(4)
+        if kind == 0:  # bounded above only
+            row_lower.append(-INF)
+            row_upper.append(row + rng.uniform(0.0, 0.5))
+        elif kind == 1:  # bounded below only
+            row_lower.append(row - rng.uniform(0.0, 0.5))
+            row_upper.append(INF)
+        elif kind == 2:  # equality
+            row_lower.append(row)
+            row_upper.append(row)
+        else:  # a finite range
+            row_lower.append(row - rng.uniform(0.0, 0.5))
+            row_upper.append(row + rng.uniform(0.0, 0.5))
+    return a, np.array(row_lower), np.array(row_upper), lo, hi, x0
 
 
 def test_random_systems_around_known_feasible_points():
     rng = np.random.default_rng(7)
     for _ in range(150):
-        a, rel, b, lo, hi, x0 = _random_system(rng)
+        a, row_lower, row_upper, lo, hi, x0 = _random_system(rng)
         c = rng.normal(size=len(x0))
-        res = _solve(a, rel, np.array(b), lo, hi, c)
+        res = _solve(a, row_lower, row_upper, lo, hi, c)
         assert res.status == simplex.OPTIMAL
         # x0 is feasible, so the maximum cannot be below c @ x0.
         assert res.objective >= float(c @ x0) - 1e-9
         assert np.all(res.x >= lo - 1e-9) and np.all(res.x <= hi + 1e-9)
-        for coef, kind, rhs in zip(a, rel, b):
+        for coef, rl, ru in zip(a, row_lower, row_upper):
             val = float(coef @ res.x)
-            if kind == "<=":
-                assert val <= rhs + 1e-8
-            elif kind == ">=":
-                assert val >= rhs - 1e-8
-            else:
-                assert val == pytest.approx(rhs, abs=1e-8)
+            assert rl - 1e-8 <= val <= ru + 1e-8
 
 
 def test_zero_width_bounds_fix_variables():
     res = _solve(
-        [[1.0, 1.0]], ["="], [0.9], [0.4, 0.0], [0.4, 1.0], [0.0, 1.0]
+        [[1.0, 1.0]], [0.9], [0.9], [0.4, 0.0], [0.4, 1.0], [0.0, 1.0]
     )
     assert res.status == simplex.OPTIMAL
     np.testing.assert_allclose(res.x, [0.4, 0.5], atol=1e-9)
@@ -147,42 +179,45 @@ def test_zero_width_bounds_fix_variables():
 def test_cost_matrix_rows_match_single_solves_bit_for_bit():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        a, rel, b, lo, hi, _ = _random_system(rng)
+        a, row_lower, row_upper, lo, hi, _ = _random_system(rng)
         k = int(rng.integers(1, 7))
         costs = rng.normal(size=(k, a.shape[1]))
         costs[rng.random(k) < 0.3] = 0.0  # zero rows: phase 1's vertex as is
         flags = rng.random(k) < 0.5
-        many = _solve(a, rel, b, lo, hi, costs, maximize=flags)
+        many = _solve(a, row_lower, row_upper, lo, hi, costs, maximize=flags)
         assert len(many) == k
         for row, up, got in zip(costs, flags, many):
-            one = _solve(a, rel, b, lo, hi, row, maximize=bool(up))
+            one = _solve(a, row_lower, row_upper, lo, hi, row, maximize=bool(up))
             assert got.status == one.status == simplex.OPTIMAL
             np.testing.assert_array_equal(got.x, one.x)
             assert got.objective == one.objective
 
 
 def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
-    a, rel, b = [[1.0], [1.0]], [">=", "<="], [0.8, 0.2]
-    single = _solve(a, rel, b, [0.0], [1.0], [1.0])
-    many = _solve(a, rel, b, [0.0], [1.0], [[1.0], [-1.0], [0.0]], maximize=[True, False, True])
+    a, row_lower, row_upper = [[1.0], [1.0]], [0.8, -INF], [INF, 0.2]
+    single = _solve(a, row_lower, row_upper, [0.0], [1.0], [1.0])
+    many = _solve(
+        a, row_lower, row_upper, [0.0], [1.0], [[1.0], [-1.0], [0.0]],
+        maximize=[True, False, True],
+    )
     assert len(many) == 3
     for res in many:
         assert res.status == simplex.INFEASIBLE
         assert res.x is None and res.objective is None
         assert res.infeasibility == single.infeasibility
-    crossed = _solve([[1.0]], ["<="], [1.0], [0.7], [0.3], [[1.0], [2.0]], maximize=[True, False])
+    crossed = _solve([[1.0]], [-INF], [1.0], [0.7], [0.3], [[1.0], [2.0]], maximize=[True, False])
     assert [res.infeasibility for res in crossed] == [pytest.approx(0.4)] * 2
 
 
 def test_cost_matrix_shape_errors():
-    a, rel, b, lo, hi = [[1.0, 1.0]], ["<="], [0.8], [0, 0], [1, 1]
+    a, rl, ru, lo, hi = [[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1]
     with pytest.raises(ValueError):
-        _solve(a, rel, b, lo, hi, [[1.0, 0.0, 0.0]], maximize=[True])
+        _solve(a, rl, ru, lo, hi, [[1.0, 0.0, 0.0]], maximize=[True])
     with pytest.raises(ValueError):
-        _solve(a, rel, b, lo, hi, [1.0, 0.0, 0.0])
+        _solve(a, rl, ru, lo, hi, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        _solve(a, rel, b, lo, hi, [[1.0, 0.0], [0.0, 1.0]], maximize=[True])
+        _solve(a, rl, ru, lo, hi, [[1.0, 0.0], [0.0, 1.0]], maximize=[True])
     with pytest.raises(ValueError):
-        _solve(a, rel, b, lo, hi, [[1.0, 0.0]], maximize=True)
+        _solve(a, rl, ru, lo, hi, [[1.0, 0.0]], maximize=True)
     with pytest.raises(ValueError):
-        _solve(a, rel, b, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
+        _solve(a, rl, ru, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
