@@ -4,7 +4,8 @@ Commands read JSON documents (see :mod:`ivprob.docio`), run one library
 operation, and print the result to standard output — documents in canonical
 JSON (or aligned text with ``--format table``), scalars as one 9-decimal
 number.  Exit codes are a stable contract: 0 success, 1 domain failure
-(invalid tables, inconsistency, refused enumerations), 2 usage or file/parse
+(invalid tables, inconsistency, refused enumerations, spaces beyond
+``model.SPACE_CELL_CAP`` cells), 2 usage or file/parse
 failure, 3 internal solver failure (a bug, not bad input).
 """
 

@@ -27,11 +27,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SpaceMismatchError, UnknownVariableError, ValidationError
+from .errors import (
+    EnumerationLimitError,
+    SpaceMismatchError,
+    UnknownVariableError,
+    ValidationError,
+)
 
 #: Slack allowed on the sum invariants (interval endpoints produced by linear
 #: programming carry float error of this magnitude at most).
 SUM_TOLERANCE = 1e-9
+#: Refuse spaces beyond this many joint cells, before any per-cell array is
+#: allocated: a database envelope stacks ``2n x n`` objectives, about 270 MB
+#: at this size.
+SPACE_CELL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,11 @@ class Space:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in space: {names}")
+        if self.cell_count > SPACE_CELL_CAP:
+            raise EnumerationLimitError(
+                f"a space of {self.cell_count} joint cells is too large; "
+                f"refusing beyond {SPACE_CELL_CAP} cells"
+            )
 
     @property
     def names(self) -> tuple[str, ...]:

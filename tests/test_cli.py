@@ -255,6 +255,25 @@ def test_json_output_is_parseable_json(capsys):
     assert "table" in payload
 
 
+@pytest.mark.parametrize("variables, labels", [(10, 10), (30, 10)])
+def test_oversized_space_is_refused_before_allocation(capsys, tmp_path, variables, labels):
+    # 10 ** 10 cells would need 74.5 GiB per cell array, and 10 ** 30 more than
+    # numpy can index: both are refused with exit 1 when the space is declared.
+    domain = [f"v{k}" for k in range(labels)]
+    doc = {
+        "variables": [{"name": f"X{j}", "domain": domain} for j in range(variables)],
+        "tables": [{"vars": ["X0"], "rows": [{"key": [v], "p": 1 / labels} for v in domain]}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "extend", "maxent"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: a space of ") and err.endswith("refusing beyond 4096 cells\n")
+        assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.json"])

@@ -7,6 +7,7 @@ import pytest
 
 from ivprob import (
     Database,
+    EnumerationLimitError,
     IntervalDistribution,
     RealDistribution,
     Scheme,
@@ -17,6 +18,7 @@ from ivprob import (
     is_more_informative,
     validate,
 )
+from ivprob.model import SPACE_CELL_CAP
 from oracles import random_interval, random_space, widen
 
 
@@ -35,6 +37,15 @@ def test_space_rejects_duplicate_names():
     v = Variable("X", ("a", "b"))
     with pytest.raises(ValueError):
         Space((v, v))
+
+
+def test_space_refuses_more_cells_than_the_cap():
+    binaries = [Variable(f"V{k}", ("0", "1")) for k in range(13)]
+    assert Space(tuple(binaries[:12])).cell_count == SPACE_CELL_CAP == 4096
+    with pytest.raises(EnumerationLimitError):
+        Space(tuple(binaries))
+    with pytest.raises(EnumerationLimitError):  # a Database's ambient space too
+        Database((), space=Space(tuple(binaries)))
 
 
 def test_cell_ordering_is_row_major(space_xy):
