@@ -73,6 +73,8 @@ class Space:
     Cell ``k`` corresponds to the tuple of labels obtained by decoding ``k``
     row-major over the domain sizes (first variable slowest), so the all-first
     tuple has index 0 and the all-last tuple has index ``cell_count - 1``.
+    A space of more than ``SPACE_CELL_CAP`` cells is refused with
+    :class:`~ivprob.errors.EnumerationLimitError`.
     """
 
     variables: tuple[Variable, ...]
