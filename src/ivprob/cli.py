@@ -12,6 +12,7 @@ failure, 3 internal solver failure (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .docio import format_scalar, load_document, serialize_document
@@ -133,7 +134,9 @@ def _add_format(sub) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="ivprob",
         description=(

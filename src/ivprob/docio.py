@@ -45,8 +45,12 @@ def _parse_number(value, where: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{where}: expected a number, found {value!r}",
     )
-    _expect(math.isfinite(value), f"{where}: number must be finite")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _expect(math.isfinite(number), f"{where}: number must be finite")
+    return number
 
 
 def _parse_p(value, where: str) -> tuple[float, float]:
@@ -135,7 +139,7 @@ def parse_document(text: str) -> IntervalDistribution | Database:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     ambient = _parse_variables(doc.get("variables"))

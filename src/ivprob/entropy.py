@@ -117,14 +117,12 @@ def maxent_ipf(db: Database) -> RealDistribution:
     deviation = np.inf
     for _ in range(IPF_MAX_SWEEPS):
         for pm, k, target in fits:
-            current = np.zeros(k)
-            np.add.at(current, pm, p)
+            current = np.bincount(pm, weights=p, minlength=k)
             ratio = np.where(target > 0.0, target / np.maximum(current, 1e-300), 0.0)
             p = p * ratio[pm]
         deviation = 0.0
         for pm, k, target in fits:
-            current = np.zeros(k)
-            np.add.at(current, pm, p)
+            current = np.bincount(pm, weights=p, minlength=k)
             deviation = max(deviation, float(np.max(np.abs(current - target))))
         if deviation < IPF_TOLERANCE:
             return RealDistribution(space, p / p.sum())

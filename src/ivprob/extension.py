@@ -100,9 +100,7 @@ def project_real(p: RealDistribution, onto) -> RealDistribution:
         raise ValueError("projection requires at least one variable")
     sub = p.space.subspace(names)
     pm = p.space.projection_map(names)
-    q = np.zeros(sub.cell_count)
-    np.add.at(q, pm, p.p)
-    return RealDistribution(sub, q)
+    return RealDistribution(sub, np.bincount(pm, weights=p.p, minlength=sub.cell_count))
 
 
 def project_interval(i: IntervalDistribution, onto) -> IntervalDistribution:

@@ -240,9 +240,10 @@ class IntervalDistribution:
     def violations(self) -> list[str]:
         """Human-readable list of invariant violations (empty when valid)."""
         out = []
-        for j in range(self.space.cell_count):
+        bad = (self.lower < 0.0) | (self.upper > 1.0) | (self.lower > self.upper)
+        for j in np.flatnonzero(bad):
             lo, hi = self.lower[j], self.upper[j]
-            cell = " ".join(self.space.cell_tuple(j))
+            cell = " ".join(self.space.cell_tuple(int(j)))
             if lo < 0.0:
                 out.append(f"cell ({cell}): lower {lo} < 0")
             if hi > 1.0:

@@ -6,20 +6,22 @@ value in ``[l, u]``, and the whole joint vector must be a probability
 distribution.  :func:`constraints_from_database` assembles that system as a
 :class:`ConstraintSystem` of ranged rows ``row_lower <= a @ p <= row_upper``:
 its dense read-only arrays hold one fiber-indicator row per table cell, with
-the cell's bounds as the row's range, plus the normalization row, and
-:func:`optimize` passes those arrays straight to the bounded-variable simplex
-to compute exact min/max linear objectives; this is the LP path behind
-database envelopes.  Given a matrix of objectives, :func:`optimize` makes one
-simplex call for all of them, so phase 1 runs once per system.
-:func:`constraints_from_box` assembles the per-cell box system
-``{p : lower <= p <= upper, sum(p) = 1}``.  Box envelopes have a closed form
-(see :mod:`ivprob.extension`), so the box system serves as an LP reference.
+the cell's bounds as the row's range, plus the normalization row.  Every
+system lies in the unit box ``0 <= p <= 1``, and :func:`optimize` passes its
+arrays with those column bounds straight to the bounded-variable simplex to
+compute exact min/max linear objectives; this is the LP path behind database
+envelopes.  Given a matrix of objectives, :func:`optimize` makes one simplex
+call for all of them, so phase 1 runs once per system.
+:func:`constraints_from_box` builds the system of an interval box
+``{p : lower <= p <= upper, sum(p) = 1}`` as that of a one-table database
+over the box's own space.  Box envelopes have a closed form (see
+:mod:`ivprob.extension`), so the box system serves as an LP reference.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +51,18 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Ranged rows ``row_lower <= a @ p <= row_upper`` plus a finite per-cell box.
+    """Ranged rows ``row_lower <= a @ p <= row_upper`` over the unit box ``0 <= p <= 1``.
 
     ``a`` is a dense ``m x n`` matrix over the ``n`` cells of ``space``, and
     ``row_lower`` and ``row_upper`` hold each row's finite range; equal bounds
     make an equality row.  Exactly one row must be the normalization equality
-    ``sum_j p_j = 1``; the box defaults to ``[0, 1]`` per cell and is
-    tightened by box-style systems.  The arrays are stored as read-only copies.
+    ``sum_j p_j = 1``.  The arrays are stored as read-only copies.
     """
 
     space: Space
     a: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
-    lower: np.ndarray = field(default=None)
-    upper: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n = self.space.cell_count
@@ -76,70 +75,58 @@ class ConstraintSystem:
             raise ValueError("every row needs one lower and one upper bound")
         if not all(np.all(np.isfinite(v)) for v in (a, row_lower, row_upper)):
             raise ValueError("constraint coefficients and row bounds must be finite")
-        lower = _read_only(np.zeros(n) if self.lower is None else self.lower)
-        upper = _read_only(np.ones(n) if self.upper is None else self.upper)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError("bounds must have one entry per cell")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("cell bounds must be finite")
         is_norm = (row_lower == 1.0) & (row_upper == 1.0) & np.all(a == 1.0, axis=1)
         n_norm = int(np.sum(is_norm))
         if n_norm != 1:
             raise ValueError(f"expected exactly one normalization row, found {n_norm}")
-        for name, value in (("a", a), ("row_lower", row_lower), ("row_upper", row_upper),
-                            ("lower", lower), ("upper", upper)):
+        for name, value in (("a", a), ("row_lower", row_lower), ("row_upper", row_upper)):
             object.__setattr__(self, name, value)
 
     def max_residual(self, p: np.ndarray) -> float:
-        """Largest violation of any row or bound at ``p``."""
+        """Largest violation of any row or of the unit box at ``p``."""
         ap = self.a @ p
         rows = np.maximum(self.row_lower - ap, ap - self.row_upper)
-        bounds = np.maximum(self.lower - p, p - self.upper)
+        bounds = np.maximum(-p, p - 1.0)
         return float(max(np.max(rows), np.max(bounds, initial=0.0), 0.0))
 
 
-def constraints_from_database(db: Database, ambient: Space | None = None) -> ConstraintSystem:
+def constraints_from_database(db: Database) -> ConstraintSystem:
     """The joint-cell system implied by a database's marginal tables.
 
     Each table cell with bounds ``[l, u]`` yields one row ``l <= f @ p <= u``
-    over the indicator ``f`` of the ambient cells that project onto it, unless
-    it restates the normalization row (a one-cell table of probability 1).
+    over the indicator ``f`` of the cells of ``db.space`` that project onto
+    it, unless it restates the normalization row (a one-cell table of
+    probability 1).
     Rows follow the tables and their cells in order; the normalization row is
     appended last.
     """
     require_valid(db)
-    if ambient is None:
-        ambient = db.space
+    space = db.space
     rows, row_lower, row_upper = [], [], []
     for table in db.tables:
-        names = table.space.names
-        for name in names:
-            if name not in ambient.names:
-                raise ValueError(f"ambient space does not cover table variable {name!r}")
-        pm = ambient.projection_map(names)
+        pm = space.projection_map(table.space.names)
         fibers = pm == np.arange(table.space.cell_count)[:, None]
         keep = ~((table.lower == 1.0) & (table.upper == 1.0) & fibers.all(axis=1))
         rows.append(fibers[keep])
         row_lower.append(table.lower[keep])
         row_upper.append(table.upper[keep])
-    rows.append(normalization_row(ambient)[None, :])
+    rows.append(normalization_row(space)[None, :])
     row_lower.append([1.0])
     row_upper.append([1.0])
     return ConstraintSystem(
-        ambient, np.vstack(rows), np.concatenate(row_lower), np.concatenate(row_upper)
+        space, np.vstack(rows), np.concatenate(row_lower), np.concatenate(row_upper)
     )
 
 
 def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
     """The system ``{p : i.lower <= p <= i.upper, sum(p) = 1}``.
 
-    The per-cell bounds are carried as the variable box rather than as
-    explicit rows; the solver treats them identically.
+    A box is a one-table database over its own space, so each cell becomes
+    one ranged identity row ``i.lower[j] <= p_j <= i.upper[j]`` (none for a
+    one-cell box, whose row would restate the normalization); the
+    normalization row follows.
     """
-    i.require_valid()
-    return ConstraintSystem(
-        i.space, [normalization_row(i.space)], [1.0], [1.0], i.lower, i.upper
-    )
+    return constraints_from_database(Database((i,)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,7 @@ def optimize(
             raise ValueError(f"direction must be 'min' or 'max', got {d!r}")
 
     results = simplex.solve(
-        cs.a, cs.row_lower, cs.row_upper, cs.lower, cs.upper, objs,
+        cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs,
         maximize=[d == "max" for d in directions],
     )
     outcomes = [_outcome(cs, row, res) for row, res in zip(objs, results)]

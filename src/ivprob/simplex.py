@@ -1,8 +1,9 @@
 """Bounded-variable primal simplex for small dense linear programs.
 
-Solves
+Solves, for every row ``c`` of a ``k x n`` cost matrix, each with its own
+direction,
 
-    maximize  c . x
+    maximize  c . x    (or minimize)
     s.t.      row_lower <= A x <= row_upper    (ranged rows; equal bounds make
                                                 an equality row, and one side
                                                 may be infinite)
@@ -25,12 +26,12 @@ dense solves, so no error accumulates across pivots.
 Phase 1 starts from ``x = lo``.  A row whose start ``A lo`` lies in its range
 puts its logical in the basis; any other row fixes its logical at the violated
 bound and puts an artificial variable in the basis, whose value is the gap.
-Phase 1 does not depend on the objective, so it runs once per system: given a
-``k x n`` cost matrix, every row's phase 2 starts from a copy of the phase-1
-basis and bound flags.  Each row's result is therefore bit-identical to a
-single solve with that row alone, and an envelope sweep over one polytope
-pays for one feasibility search, not one per objective (the warm start for
-re-optimizing one polytope, Chvátal, *Linear Programming*, 1983, ch. 8).
+Phase 1 does not depend on the objective, so it runs once per system, and
+every cost row's phase 2 starts from a copy of the phase-1 basis and bound
+flags.  Each row's result is therefore bit-identical to a solve with that row
+alone, and an envelope sweep over one polytope pays for one feasibility
+search, not one per objective (the warm start for re-optimizing one polytope,
+Chvátal, *Linear Programming*, 1983, ch. 8).
 
 Vertices are reached exactly (up to float rounding of the input data), which
 downstream callers rely on for witness feasibility at tight tolerances.
@@ -69,29 +70,25 @@ def solve(
     row_upper: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    c: np.ndarray,
-    maximize: bool | Sequence[bool] = True,
-) -> SimplexResult | list[SimplexResult]:
-    """Solve the bounded LP (minimize ``c . x`` when not ``maximize``); see module docstring.
+    costs: np.ndarray,
+    maximize: Sequence[bool],
+) -> list[SimplexResult]:
+    """Optimize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
 
-    ``c`` is one cost vector of length ``n`` with a single ``maximize`` flag,
-    and one :class:`SimplexResult` is returned; or a ``k x n`` cost matrix
-    with one flag per row, and a list of ``k`` results is returned, all
-    sharing one phase 1 (so an infeasible system gives ``k`` infeasible
-    results with one ``infeasibility``).  Crossed bounds, of a column or of a
-    row, make the system infeasible with the largest crossing as its
-    ``infeasibility``.
+    Row ``r`` is maximized when ``maximize[r]`` is true and minimized
+    otherwise.  One :class:`SimplexResult` is returned per row, all sharing
+    one phase 1, so an infeasible system gives ``k`` infeasible results with
+    one ``infeasibility``.  Crossed bounds, of a column or of a row, make the
+    system infeasible with the largest crossing as its ``infeasibility``.
     """
     a = np.asarray(a, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    flags = np.asarray(maximize, dtype=bool)
     m, n = a.shape
     if m == 0:
         raise ValueError("at least one constraint row is required")
-    single = c.ndim == 1
-    costs = c[None, :] if single else c
-    flags = np.asarray([maximize] if single else maximize, dtype=bool)
     if costs.ndim != 2 or costs.shape[1] != n:
-        raise ValueError(f"every cost vector needs one coefficient per column ({n})")
+        raise ValueError(f"costs must be a matrix with one coefficient per column ({n})")
     if flags.shape != (len(costs),):
         raise ValueError(f"expected one maximize flag per cost row ({len(costs)})")
 
@@ -99,8 +96,7 @@ def solve(
     lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
     hi_x = np.concatenate([hi, row_upper]).astype(np.float64)
     if np.any(lo_x > hi_x):
-        infeasible = SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))
-        return infeasible if single else [infeasible] * len(costs)
+        return [SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))] * len(costs)
 
     # Nonbasic start: structural at lower bound.  A row whose start lies
     # outside its range rests its logical at the violated bound and takes a
@@ -119,16 +115,14 @@ def solve(
     at_upper[n:art0] = above
     basis = n + np.arange(m)
     basis[bad] = art0 + np.arange(len(bad))
-    rhs = np.zeros(m)
 
     # Phase 1: drive the total artificial mass to zero.
     c1 = np.zeros(len(lo_x))
     c1[art0:] = -1.0
-    basis, at_upper, x = _iterate(ax, rhs, lo_x, hi_x, c1, basis, at_upper)
+    basis, at_upper, x = _iterate(ax, lo_x, hi_x, c1, basis, at_upper)
     infeas = float(x[art0:].sum())
     if infeas > FEASIBILITY_TOL:
-        infeasible = SimplexResult(INFEASIBLE, None, None, infeas)
-        return infeasible if single else [infeasible] * len(costs)
+        return [SimplexResult(INFEASIBLE, None, None, infeas)] * len(costs)
 
     # Phase 2: pin artificials at zero and optimize each real objective from
     # a copy of the phase-1 basis (_iterate updates its basis in place).
@@ -137,14 +131,18 @@ def solve(
     for row, up in zip(costs, flags):
         c2 = np.zeros(len(lo_x))
         c2[:n] = row if up else -row
-        _, _, x = _iterate(ax, rhs, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
+        _, _, x = _iterate(ax, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
         xs = x[:n].copy()
         results.append(SimplexResult(OPTIMAL, xs, float(row @ xs), 0.0))
-    return results[0] if single else results
+    return results
 
 
-def _iterate(ax, b, lo_x, hi_x, cost, basis, at_upper):
-    """Run primal pivots until no improving nonbasic variable remains."""
+def _iterate(ax, lo_x, hi_x, cost, basis, at_upper):
+    """Run primal pivots until no improving nonbasic variable remains.
+
+    Every row of ``ax`` equals zero (the logicals carry the row ranges), so
+    the basic values solve ``B xb = -N xn``.
+    """
     m, n_tot = ax.shape
     fixed = lo_x == hi_x
     max_iter = 200 * (n_tot + m) + 1000
@@ -158,7 +156,7 @@ def _iterate(ax, b, lo_x, hi_x, cost, basis, at_upper):
             raise SolverError("nonbasic variable resting at an infinite bound")
         bmat = ax[:, basis]
         try:
-            xb = np.linalg.solve(bmat, b - ax @ x)
+            xb = np.linalg.solve(bmat, -(ax @ x))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis: {exc}") from exc
         x[basis] = xb

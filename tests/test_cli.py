@@ -46,6 +46,20 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_huge_integer_probability_is_a_document_error(capsys, tmp_path, digits):
+    # 400 digits overflow a float; 5,000 pass Python's digit limit for
+    # integers, which the JSON parser reports as a plain ValueError.
+    text = (FIXTURES / "abc_mid.json").read_text()
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("0.250000000", "9" * digits, 1))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- extend ---
 
 
@@ -272,6 +286,34 @@ def test_oversized_space_is_refused_before_allocation(capsys, tmp_path, variable
         assert out == ""
         assert err.startswith("error: a space of ") and err.endswith("refusing beyond 4096 cells\n")
         assert "Traceback" not in err
+
+
+def test_command_sequence_repeats_in_one_process(capsys):
+    # The parser is built once per process: no command may leave state in it
+    # that changes a later one.
+    sequence = [
+        ["rank", FIXTURES / "abc_i.json", "--schemes", "A,C|B,C", "A,B|B,C"],
+        ["rank", FIXTURES / "abc_i.json", "--enumerate", "2"],
+        ["rank", FIXTURES / "abc_i.json"],  # no scheme source: usage error
+        ["measure", FIXTURES / "abc_mid.json", "u0"],
+        ["extend", FIXTURES / "db_d.json", "--format", "table"],
+        ["extend", FIXTURES / "db_d.json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in sequence]
+    second = [outcome(argv) for argv in sequence]
+    assert second == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 0]
+    assert first[2][2].startswith("usage: ivprob rank")
+    assert first[4][1].split()[:3] == ["X", "Y", "p"] and first[5][1].startswith("{")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -97,6 +97,18 @@ def test_interval_distribution_violations(space_xy):
     problems = bad.violations()
     assert any("x1" in v and "lower" in v for v in problems)
 
+    # Bad cells apart from each other, one of them bad twice: messages follow
+    # the cells in order, and each cell its checks in order.
+    scattered = IntervalDistribution(
+        space_xy, [-0.25, 0.25, 0.0, 1.5], [0.5, 0.5, 0.5, 1.25]
+    )
+    assert scattered.violations() == [
+        "cell (x1 y1): lower -0.25 < 0",
+        "cell (x2 y2): upper 1.25 > 1",
+        "cell (x2 y2): lower 1.5 > upper 1.25",
+        "sum of lower bounds 1.5 > 1",
+    ]
+
     heavy = IntervalDistribution(
         space_xy, [0.6, 0.6, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]
     )

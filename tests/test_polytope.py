@@ -18,6 +18,7 @@ from ivprob import (
     is_consistent,
     normalization_row,
     optimize,
+    tighten,
 )
 from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
 
@@ -46,8 +47,9 @@ def test_normalization_row_sums_all_cells(space_xy):
     np.testing.assert_array_equal(row, [1.0, 1.0, 1.0, 1.0])
     assert not row.flags.writeable
     cs = constraints_from_box(IntervalDistribution(space_xy, np.zeros(4), np.ones(4)))
-    np.testing.assert_array_equal(cs.row_lower, [1.0])
-    np.testing.assert_array_equal(cs.row_upper, [1.0])
+    np.testing.assert_array_equal(cs.a[-1], row)
+    np.testing.assert_array_equal(cs.row_lower[-1:], [1.0])
+    np.testing.assert_array_equal(cs.row_upper[-1:], [1.0])
 
 
 def test_constraint_residual(space_xy):
@@ -62,9 +64,10 @@ def test_constraint_residual(space_xy):
     assert eq.max_residual(np.array([0.4, 0.2, 0.2, 0.2])) == pytest.approx(0.1)
     ok = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], 0.5, 1.0)
     assert ok.max_residual(x) == 0.0
-    # The normalization row and the cell box are checked too.
+    # The normalization row and the unit box are checked too.
     assert ok.max_residual(np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
     assert ok.max_residual(np.array([1.3, -0.3, 0.0, 0.0])) == pytest.approx(0.3)
+    assert ok.max_residual(np.array([0.7, -0.2, 0.3, 0.2])) == pytest.approx(0.2)
 
 
 def test_system_requires_exactly_one_normalization(space_x):
@@ -84,8 +87,6 @@ def test_system_requires_exactly_one_normalization(space_x):
     assert cs.a.shape == (1, 2)
     np.testing.assert_array_equal(cs.row_lower, [1.0])
     np.testing.assert_array_equal(cs.row_upper, [1.0])
-    np.testing.assert_allclose(cs.lower, [0.0, 0.0])
-    np.testing.assert_allclose(cs.upper, [1.0, 1.0])
 
 
 def test_system_rejects_bad_rows(space_x):
@@ -120,7 +121,7 @@ def test_system_arrays_are_read_only_copies(space_x):
     np.testing.assert_array_equal(cs.a, [[1.0, 0.0], [1.0, 1.0]])
     np.testing.assert_array_equal(cs.row_lower, [0.2, 1.0])
     np.testing.assert_array_equal(cs.row_upper, [0.5, 1.0])
-    for arr in (cs.a, cs.row_lower, cs.row_upper, cs.lower, cs.upper):
+    for arr in (cs.a, cs.row_lower, cs.row_upper):
         with pytest.raises(ValueError):
             arr[0] = 0.25
     built = constraints_from_database(
@@ -132,28 +133,6 @@ def test_system_arrays_are_read_only_copies(space_x):
         built.row_lower[0] = 0.0
     with pytest.raises(ValueError):
         built.row_upper[0] = 0.0
-
-
-def test_system_rejects_bad_bounds(space_x):
-    row = normalization_row(space_x)
-    with pytest.raises(ValueError):
-        ConstraintSystem(
-            space_x,
-            [row],
-            [1.0],
-            [1.0],
-            lower=np.array([0.0]),
-            upper=np.array([1.0]),
-        )
-    with pytest.raises(ValueError):
-        ConstraintSystem(
-            space_x,
-            [row],
-            [1.0],
-            [1.0],
-            lower=np.array([0.0, np.nan]),
-            upper=np.array([1.0, 1.0]),
-        )
 
 
 def test_degenerate_tables_become_equality_rows(db_d):
@@ -234,13 +213,6 @@ def test_database_rows_follow_tables_and_cells_in_order():
         np.testing.assert_array_equal(cs.a, rows)
         np.testing.assert_array_equal(cs.row_lower, row_lower)
         np.testing.assert_array_equal(cs.row_upper, row_upper)
-        np.testing.assert_array_equal(cs.lower, np.zeros(space.cell_count))
-        np.testing.assert_array_equal(cs.upper, np.ones(space.cell_count))
-
-
-def test_ambient_space_must_cover_tables(db_d, space_x):
-    with pytest.raises(ValueError):
-        constraints_from_database(db_d, ambient=space_x)
 
 
 def test_optimize_marginal_cell_over_degenerate_database(db_d):
@@ -293,17 +265,16 @@ def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
 
 
 def test_optimize_detects_contradictory_bounds(space_x):
+    # p_1 >= 0.8 and p_2 >= 0.5 cannot both hold with p_1 + p_2 = 1.
     cs = ConstraintSystem(
         space_x,
-        [normalization_row(space_x)],
-        [1.0],
-        [1.0],
-        lower=np.array([0.8, 0.5]),
-        upper=np.array([0.9, 0.6]),
+        [[1.0, 0.0], [0.0, 1.0], normalization_row(space_x)],
+        [0.8, 0.5, 1.0],
+        [0.9, 0.6, 1.0],
     )
     out = optimize(cs, np.array([1.0, 0.0]), "max")
     assert out.status == INFEASIBLE
-    assert out.infeasibility > 0.0
+    assert out.infeasibility == pytest.approx(0.3, abs=1e-9)
 
 
 def test_empty_database_with_explicit_space_gives_unit_box(space_x):
@@ -318,18 +289,31 @@ def test_empty_database_with_explicit_space_gives_unit_box(space_x):
     assert bot.value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_box_system_uses_variable_bounds(space_xy):
+def test_box_system_is_a_one_table_database(space_xy):
     i = IntervalDistribution(
         space_xy,
         np.array([0.1, 0.0, 0.2, 0.0]),
         np.array([0.5, 0.4, 0.6, 0.3]),
     )
     cs = constraints_from_box(i)
-    np.testing.assert_array_equal(cs.a, [[1.0, 1.0, 1.0, 1.0]])
+    assert cs.space == space_xy
+    np.testing.assert_array_equal(cs.a, np.vstack([np.eye(4), np.ones(4)]))
+    np.testing.assert_array_equal(cs.row_lower, [0.1, 0.0, 0.2, 0.0, 1.0])
+    np.testing.assert_array_equal(cs.row_upper, [0.5, 0.4, 0.6, 0.3, 1.0])
+
+
+def test_one_label_box_of_probability_one_has_one_row():
+    """The one cell restates the normalization, so only that row remains."""
+    one = Space((Variable("S", ("s1",)),))
+    sure = IntervalDistribution(one, [1.0], [1.0])
+    cs = constraints_from_box(sure)
+    np.testing.assert_array_equal(cs.a, [[1.0]])
     np.testing.assert_array_equal(cs.row_lower, [1.0])
     np.testing.assert_array_equal(cs.row_upper, [1.0])
-    np.testing.assert_allclose(cs.lower, i.lower)
-    np.testing.assert_allclose(cs.upper, i.upper)
+    lp = [optimize(cs, np.ones(1), d).value for d in ("min", "max")]
+    env = tighten(sure)
+    assert [env.lower[0], env.upper[0]] == [1.0, 1.0]
+    assert lp == [pytest.approx(1.0, abs=1e-12)] * 2
 
 
 def test_box_envelopes_match_grid_oracle():

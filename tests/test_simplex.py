@@ -11,32 +11,32 @@ from ivprob import simplex
 INF = np.inf
 
 
-def _solve(a, row_lower, row_upper, lo, hi, c, maximize=True):
-    return simplex.solve(
-        np.asarray(a, float),
-        np.asarray(row_lower, float),
-        np.asarray(row_upper, float),
-        np.asarray(lo, float),
-        np.asarray(hi, float),
-        np.asarray(c, float),
-        maximize=maximize,
-    )
+def _solve(a, row_lower, row_upper, lo, hi, costs, maximize):
+    """``simplex.solve`` on array-likes: one result per row of ``costs``."""
+    arrays = (np.asarray(v, float) for v in (a, row_lower, row_upper, lo, hi, costs))
+    return simplex.solve(*arrays, maximize)
+
+
+def _solve_one(a, row_lower, row_upper, lo, hi, c, maximize=True):
+    """The result for the one cost vector ``c``."""
+    (res,) = _solve(a, row_lower, row_upper, lo, hi, [c], [maximize])
+    return res
 
 
 def test_simple_capacity_maximum():
-    res = _solve([[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1], [1.0, 1.0])
+    res = _solve_one([[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1], [1.0, 1.0])
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.8, abs=1e-9)
     assert res.x.sum() == pytest.approx(0.8, abs=1e-9)
 
 
 def test_equality_and_bounds():
-    res = _solve(
+    res = _solve_one(
         [[1.0, 1.0, 1.0]], [1.0], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0]
     )
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.3, abs=1e-9)
-    low = _solve(
+    low = _solve_one(
         [[1.0, 1.0, 1.0]], [1.0], [1.0], [0, 0, 0], [0.3, 0.4, 0.5], [1.0, 0.0, 0.0],
         maximize=False,
     )
@@ -44,13 +44,13 @@ def test_equality_and_bounds():
 
 
 def test_minimize_finds_the_smallest_objective():
-    res = _solve([[1.0, 2.0]], [-INF], [1.0], [0, 0], [1, 1], [1.0, 1.0], maximize=False)
+    res = _solve_one([[1.0, 2.0]], [-INF], [1.0], [0, 0], [1, 1], [1.0, 1.0], maximize=False)
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_infeasible_reports_magnitude():
-    res = _solve(
+    res = _solve_one(
         [[1.0], [1.0]], [0.8, -INF], [INF, 0.2], [0.0], [1.0], [1.0]
     )
     assert res.status == simplex.INFEASIBLE
@@ -58,13 +58,13 @@ def test_infeasible_reports_magnitude():
 
 
 def test_contradictory_variable_bounds_are_infeasible():
-    res = _solve([[1.0]], [-INF], [1.0], [0.7], [0.3], [1.0])
+    res = _solve_one([[1.0]], [-INF], [1.0], [0.7], [0.3], [1.0])
     assert res.status == simplex.INFEASIBLE
 
 
 def test_crossed_row_range_is_infeasible_by_its_gap():
     # Like crossed column bounds: no phase 1, the crossing is the infeasibility.
-    res = _solve([[1.0, 1.0], [1.0, 0.0]], [0.7, 0.0], [0.3, 1.0], [0, 0], [1, 1], [1.0, 0.0])
+    res = _solve_one([[1.0, 1.0], [1.0, 0.0]], [0.7, 0.0], [0.3, 1.0], [0, 0], [1, 1], [1.0, 0.0])
     assert res.status == simplex.INFEASIBLE
     assert res.x is None and res.objective is None
     assert res.infeasibility == pytest.approx(0.4)
@@ -72,7 +72,7 @@ def test_crossed_row_range_is_infeasible_by_its_gap():
     assert [r.status for r in many] == [simplex.INFEASIBLE] * 2
     assert [r.infeasibility for r in many] == [pytest.approx(0.7)] * 2
     # Crossed columns and rows together: the larger crossing is reported.
-    both = _solve([[1.0]], [0.9], [0.2], [0.6], [0.5], [1.0])
+    both = _solve_one([[1.0]], [0.9], [0.2], [0.6], [0.5], [1.0])
     assert both.infeasibility == pytest.approx(0.7)
 
 
@@ -93,8 +93,8 @@ def test_one_sided_rows_match_loose_finite_ranges():
         loose_upper = np.where(np.isinf(row_upper), 6.0, row_upper)
         c = rng.normal(size=n)
         for up in (True, False):
-            one_sided = _solve(a, row_lower, row_upper, lo, hi, c, maximize=up)
-            finite = _solve(a, loose_lower, loose_upper, lo, hi, c, maximize=up)
+            one_sided = _solve_one(a, row_lower, row_upper, lo, hi, c, maximize=up)
+            finite = _solve_one(a, loose_lower, loose_upper, lo, hi, c, maximize=up)
             assert one_sided.status == finite.status == simplex.OPTIMAL
             assert one_sided.objective == pytest.approx(finite.objective, abs=1e-9)
             ax = a @ one_sided.x
@@ -102,7 +102,7 @@ def test_one_sided_rows_match_loose_finite_ranges():
 
 
 def test_negative_costs_park_variables_at_lower_bounds():
-    res = _solve(
+    res = _solve_one(
         [[1.0, 1.0]], [-INF], [1.5], [0.2, 0.3], [1.0, 1.0], [-1.0, -2.0]
     )
     assert res.status == simplex.OPTIMAL
@@ -110,7 +110,7 @@ def test_negative_costs_park_variables_at_lower_bounds():
 
 
 def test_ge_rows_need_phase_one():
-    res = _solve(
+    res = _solve_one(
         [[1.0, 1.0], [1.0, 0.0]],
         [0.9, -INF],
         [INF, 0.4],
@@ -155,7 +155,7 @@ def test_random_systems_around_known_feasible_points():
     for _ in range(150):
         a, row_lower, row_upper, lo, hi, x0 = _random_system(rng)
         c = rng.normal(size=len(x0))
-        res = _solve(a, row_lower, row_upper, lo, hi, c)
+        res = _solve_one(a, row_lower, row_upper, lo, hi, c)
         assert res.status == simplex.OPTIMAL
         # x0 is feasible, so the maximum cannot be below c @ x0.
         assert res.objective >= float(c @ x0) - 1e-9
@@ -166,7 +166,7 @@ def test_random_systems_around_known_feasible_points():
 
 
 def test_zero_width_bounds_fix_variables():
-    res = _solve(
+    res = _solve_one(
         [[1.0, 1.0]], [0.9], [0.9], [0.4, 0.0], [0.4, 1.0], [0.0, 1.0]
     )
     assert res.status == simplex.OPTIMAL
@@ -187,7 +187,7 @@ def test_cost_matrix_rows_match_single_solves_bit_for_bit():
         many = _solve(a, row_lower, row_upper, lo, hi, costs, maximize=flags)
         assert len(many) == k
         for row, up, got in zip(costs, flags, many):
-            one = _solve(a, row_lower, row_upper, lo, hi, row, maximize=bool(up))
+            one = _solve_one(a, row_lower, row_upper, lo, hi, row, maximize=bool(up))
             assert got.status == one.status == simplex.OPTIMAL
             np.testing.assert_array_equal(got.x, one.x)
             assert got.objective == one.objective
@@ -195,7 +195,7 @@ def test_cost_matrix_rows_match_single_solves_bit_for_bit():
 
 def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
     a, row_lower, row_upper = [[1.0], [1.0]], [0.8, -INF], [INF, 0.2]
-    single = _solve(a, row_lower, row_upper, [0.0], [1.0], [1.0])
+    single = _solve_one(a, row_lower, row_upper, [0.0], [1.0], [1.0])
     many = _solve(
         a, row_lower, row_upper, [0.0], [1.0], [[1.0], [-1.0], [0.0]],
         maximize=[True, False, True],
@@ -214,7 +214,7 @@ def test_cost_matrix_shape_errors():
     with pytest.raises(ValueError):
         _solve(a, rl, ru, lo, hi, [[1.0, 0.0, 0.0]], maximize=[True])
     with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, [1.0, 0.0, 0.0])
+        _solve(a, rl, ru, lo, hi, [1.0, 0.0], maximize=[True])  # a vector
     with pytest.raises(ValueError):
         _solve(a, rl, ru, lo, hi, [[1.0, 0.0], [0.0, 1.0]], maximize=[True])
     with pytest.raises(ValueError):
