@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,20 +227,58 @@ def test_box_maxent_beats_random_feasible_points():
         assert np.all(h_samples <= h_star + 1e-9)
 
 
+def _cells(n: int) -> Space:
+    return Space((Variable("V", tuple(f"v{k}" for k in range(n))),))
+
+
+def _cap_box(rng) -> IntervalDistribution:
+    """A box over 16^3 = 4,096 cells, the space cap, with some cells at upper."""
+    sp = Space(
+        tuple(Variable(f"V{k}", tuple(f"v{m}" for m in range(16))) for k in range(3))
+    )
+    return random_interval(rng, sp, width=1e-3)
+
+
 def test_box_maxent_kkt_structure():
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        sp = random_space(rng, max_cells=8, max_variables=3)
-        i = random_interval(rng, sp)
+    boxes = [
+        random_interval(rng, random_space(rng, max_cells=8, max_variables=3))
+        for _ in range(20)
+    ]
+    # The two ends: the bounds reach one only within SUM_TOLERANCE.
+    base = np.array([0.1, 0.2, 0.3, 0.4])
+    gaps = np.array([0.05, 0.1, 0.2, 0.3])
+    lower_end = IntervalDistribution(_cells(4), base + 1.25e-10, base + gaps)
+    upper_end = IntervalDistribution(_cells(4), base - gaps, base - 1.25e-10)
+    boxes += [lower_end, upper_end, _cap_box(rng)]
+    for i in boxes:
         p = box_maxent(i).p
         interior = (p > i.lower + 1e-7) & (p < i.upper - 1e-7)
+        low = np.abs(p - i.lower) <= 1e-7
+        high = np.abs(p - i.upper) <= 1e-7
+        assert np.all(interior | low | high)
         if interior.any():
             c = float(p[interior].mean())
             assert np.all(np.abs(p[interior] - c) <= 1e-9)
-            low = np.abs(p - i.lower) <= 1e-7
-            high = np.abs(p - i.upper) <= 1e-7
             assert np.all(i.lower[low] >= c - 1e-6)
             assert np.all(i.upper[high] <= c + 1e-6)
+    np.testing.assert_allclose(box_maxent(lower_end).p, base, atol=1e-15)
+    np.testing.assert_allclose(box_maxent(upper_end).p, base, atol=1e-15)
+    cap = boxes[-1]
+    p = box_maxent(cap).p  # both kinds of cells, at the level and at upper
+    assert np.any(np.abs(p - cap.upper) <= 1e-12) and np.any(p < cap.upper - 1e-7)
+
+
+def test_box_maxent_memory_is_linear_in_cells():
+    # A breakpoints x cells temporary would take 8,192 x 4,096 x 8 B = 268 MB.
+    i = _cap_box(np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        box_maxent(i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_measure_u1_examples(space_xy, i_d_expected):
@@ -277,6 +317,15 @@ def test_box_minent_matches_vertex_oracle(i_d_expected):
         axis=1,
     )
     assert np.all(h_samples >= shannon_entropy(got) - 1e-9)
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        p = random_real(rng, _cells(n)).p
+        fixed = rng.uniform(size=n) < 0.3  # zero-width cells
+        lower = np.where(fixed, p, np.clip(p - rng.uniform(0.0, 0.5, n), 0.0, None))
+        upper = np.where(fixed, p, np.clip(p + rng.uniform(0.0, 0.5, n), None, 1.0))
+        got = box_minent(IntervalDistribution(_cells(n), lower, upper))
+        want = min_entropy_by_vertices(lower, upper)
+        assert shannon_entropy(got) == pytest.approx(want, abs=1e-9)
 
 
 def test_box_minent_refuses_large_spaces():
