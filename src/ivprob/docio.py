@@ -35,29 +35,30 @@ from .errors import DocumentError, UnknownVariableError
 from .model import Database, IntervalDistribution, RealDistribution, Space, Variable
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str, *args) -> None:
+    """Raise ``DocumentError`` unless ``condition``; format the message only then."""
     if not condition:
-        raise DocumentError(message)
+        raise DocumentError(message.format(*args))
 
 
-def _parse_number(value, where: str) -> float:
+def _parse_number(value, key) -> float:
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{where}: expected a number, found {value!r}",
+        "row {}: expected a number, found {!r}", key, value,
     )
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    _expect(math.isfinite(number), f"{where}: number must be finite")
+    _expect(math.isfinite(number), "row {}: number must be finite", key)
     return number
 
 
-def _parse_p(value, where: str) -> tuple[float, float]:
+def _parse_p(value, key) -> tuple[float, float]:
     if isinstance(value, list):
-        _expect(len(value) == 2, f"{where}: interval must be a [lo, hi] pair")
-        return _parse_number(value[0], where), _parse_number(value[1], where)
-    v = _parse_number(value, where)
+        _expect(len(value) == 2, "row {}: interval must be a [lo, hi] pair", key)
+        return _parse_number(value[0], key), _parse_number(value[1], key)
+    v = _parse_number(value, key)
     return v, v
 
 
@@ -74,7 +75,7 @@ def _parse_variables(field) -> Space:
         _expect(isinstance(name, str), 'variable "name" must be a string')
         _expect(
             isinstance(domain, list) and all(isinstance(x, str) for x in domain),
-            f"variable {name!r}: \"domain\" must be a list of strings",
+            'variable {!r}: "domain" must be a list of strings', name,
         )
         try:
             variables.append(Variable(name, tuple(domain)))
@@ -93,7 +94,7 @@ def _parse_table(obj, ambient: Space) -> IntervalDistribution:
         isinstance(names, list) and names and all(isinstance(n, str) for n in names),
         'table "vars" must be a non-empty list of variable names',
     )
-    _expect(len(set(names)) == len(names), f"table variables {names} repeat a name")
+    _expect(len(set(names)) == len(names), "table variables {} repeat a name", names)
     try:
         space = Space(tuple(ambient.variable(n) for n in names))
     except UnknownVariableError as exc:
@@ -113,16 +114,16 @@ def _parse_table(obj, ambient: Space) -> IntervalDistribution:
         )
         _expect(
             len(key) == len(names),
-            f"row key {key} must have one label per variable in {names}",
+            "row key {} must have one label per variable in {}", key, names,
         )
         try:
             idx = space.cell_index(key)
         except UnknownVariableError as exc:
             raise DocumentError(str(exc)) from exc
-        _expect(not seen[idx], f"duplicate row for key {key}")
+        _expect(not seen[idx], "duplicate row for key {}", key)
         seen[idx] = True
-        _expect("p" in row, f"row {key} is missing \"p\"")
-        lower[idx], upper[idx] = _parse_p(row["p"], f"row {key}")
+        _expect("p" in row, 'row {} is missing "p"', key)
+        lower[idx], upper[idx] = _parse_p(row["p"], key)
     if not seen.all():
         missing = space.cell_tuple(int(np.argmin(seen)))
         raise DocumentError(f"missing row for cell {list(missing)}")
@@ -137,9 +138,11 @@ def parse_document(text: str) -> IntervalDistribution | Database:
     Domain-level validity (bound ordering, mass totals) is *not* checked here;
     use :meth:`IntervalDistribution.violations` / :func:`model.validate`.
     """
+    # json.loads raises a JSONDecodeError, a plain ValueError for an integer
+    # past the digit limit, and a RecursionError for nesting that is too deep.
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     ambient = _parse_variables(doc.get("variables"))

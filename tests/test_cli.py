@@ -46,13 +46,24 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("digits", [400, 5000])
-def test_huge_integer_probability_is_a_document_error(capsys, tmp_path, digits):
-    # 400 digits overflow a float; 5,000 pass Python's digit limit for
-    # integers, which the JSON parser reports as a plain ValueError.
-    text = (FIXTURES / "abc_mid.json").read_text()
-    path = tmp_path / "huge.json"
-    path.write_text(text.replace("0.250000000", "9" * digits, 1))
+ABC_MID = (FIXTURES / "abc_mid.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 400 digits overflow a float; 5,000 pass Python's digit limit for
+        # integers, which the JSON parser reports as a plain ValueError.
+        pytest.param(ABC_MID.replace("0.250000000", "9" * 400, 1), id="400"),
+        pytest.param(ABC_MID.replace("0.250000000", "9" * 5000, 1), id="5000"),
+        # Nesting this deep exceeds the JSON parser's recursion limit.
+        pytest.param('{"variables": ' + "[" * 100_000 + "}", id="nested-100000"),
+    ],
+)
+def test_huge_integer_probability_is_a_document_error(capsys, tmp_path, text):
+    """Documents that defeat the JSON parser itself exit 2 with one line."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     code, out, err = run(capsys, "validate", path)
     assert code == 2
     assert out == ""

@@ -124,23 +124,55 @@ def test_text_format_renders_aligned_table(abc_mid):
 # ----------------------------------------------------------------- errors ---
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("variables"),
-        lambda d: d.update(variables=[]),
+STRUCTURAL_PROBLEMS = [
+    (lambda d: d.pop("variables"), '"variables" must be a non-empty list'),
+    (lambda d: d.update(variables=[]), '"variables" must be a non-empty list'),
+    (
         lambda d: d.update(variables=[{"name": "X"}]),
+        'variable \'X\': "domain" must be a list of strings',
+    ),
+    (
         lambda d: d.update(variables=[{"name": "X", "domain": []}]),
+        "variable 'X': variable 'X' needs at least one value label",
+    ),
+    (
         lambda d: d.update(variables=[{"name": "X", "domain": ["a", "a"]}]),
+        "variable 'X': variable 'X' has duplicate value labels",
+    ),
+    (
         lambda d: d.pop("table"),
+        'document must contain exactly one of "table" or "tables"',
+    ),
+    (
         lambda d: d.update(tables=[]),
-    ],
+        'document must contain exactly one of "table" or "tables"',
+    ),
+    (
+        lambda d: d["table"]["rows"][0].update(key=["0", "0"]),
+        "row key ['0', '0'] must have one label per variable in ['A', 'B', 'C']",
+    ),
+    (
+        lambda d: d["table"]["rows"].append(dict(d["table"]["rows"][0])),
+        "duplicate row for key ['0', '0', '0']",
+    ),
+    (
+        lambda d: d["table"]["rows"][0].pop("p"),
+        'row [\'0\', \'0\', \'0\'] is missing "p"',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    STRUCTURAL_PROBLEMS,
+    ids=[f"<lambda>{k}" for k in range(len(STRUCTURAL_PROBLEMS))],
 )
-def test_structural_problems_raise_document_error(mutate):
+def test_structural_problems_raise_document_error(mutate, message):
     base = json.loads(fixture_text("abc_mid.json"))
     mutate(base)
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as info:
         parse_document(json.dumps(base))
+    assert str(info.value) == message
 
 
 def test_both_table_and_tables_rejected():
@@ -179,12 +211,23 @@ def test_unknown_variable_in_vars():
         parse_document(json.dumps(base))
 
 
-@pytest.mark.parametrize("bad_p", [True, float("nan"), "0.3", [0.1], [0.1, 0.2, 0.3], None])
-def test_bad_probability_payloads(bad_p):
+@pytest.mark.parametrize(
+    ("bad_p", "message"),
+    [
+        pytest.param(True, "expected a number, found True", id="True"),
+        pytest.param(float("nan"), "number must be finite", id="nan"),
+        pytest.param("0.3", "expected a number, found '0.3'", id="0.3"),
+        pytest.param([0.1], "interval must be a [lo, hi] pair", id="bad_p3"),
+        pytest.param([0.1, 0.2, 0.3], "interval must be a [lo, hi] pair", id="bad_p4"),
+        pytest.param(None, "expected a number, found None", id="None"),
+    ],
+)
+def test_bad_probability_payloads(bad_p, message):
     base = json.loads(fixture_text("abc_mid.json"))
     base["table"]["rows"][0]["p"] = bad_p
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as info:
         parse_document(json.dumps(base))
+    assert str(info.value) == f"row ['0', '0', '0']: {message}"
 
 
 def test_semantically_invalid_interval_still_parses():
