@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, EnumerationLimitError, SpaceMismatchError
-from .model import Database, IntervalDistribution, RealDistribution, require_valid
+from .model import (
+    Database,
+    IntervalDistribution,
+    RealDistribution,
+    compare_sum,
+    require_valid,
+)
 
 #: IPF stops when every table's marginal matches within this deviation.
 IPF_TOLERANCE = 1e-10
@@ -170,12 +176,12 @@ def box_minent(i: IntervalDistribution) -> RealDistribution:
 
     Entropy is strictly concave, so a minimum lies at a vertex of the feasible
     polytope, and each vertex has at most one cell strictly between its
-    bounds.  All such patterns are enumerated exactly from one grid of the
-    ``2^n`` endpoint patterns: first every row whose cells sum to one, then,
-    for each cell ``f``, every row with ``f`` at its lower bound, with ``f``
-    reset to absorb the slack.  The entropy-minimal feasible pattern wins,
-    ties going to the first found.  This is exponential in the cell count and
-    refuses spaces larger than ``MINENT_CELL_CAP`` cells.
+    bounds.  One grid of the ``2^n`` endpoint patterns yields them all: the
+    rows that sum to one (by :func:`~ivprob.model.compare_sum`), then for each
+    cell ``f`` the rows with ``f`` at its lower bound, ``f`` reset to absorb
+    the slack.  Each candidate is divided by its sum, and the first of least
+    entropy wins.  This is exponential in the cell count and refuses spaces
+    larger than ``MINENT_CELL_CAP`` cells.
     """
     i.require_valid()
     n = i.space.cell_count
@@ -184,21 +190,22 @@ def box_minent(i: IntervalDistribution) -> RealDistribution:
             f"exact entropy minimization enumerates 2^{n} endpoint patterns; "
             f"refusing beyond {MINENT_CELL_CAP} cells"
         )
-    tol = 1e-9
     at_upper = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
     grid = np.where(at_upper, i.upper, i.lower)
     sums = grid.sum(axis=1)
     best_value, best_point = np.inf, None
     for f in (None, *range(n)):
         if f is None:  # every cell at an endpoint
-            points = grid[np.abs(sums - 1.0) <= tol]
+            points = grid[compare_sum(sums) == 0]
         else:  # cell f absorbs the slack, the rest at endpoints
             rows = ~at_upper[:, f]
-            r = 1.0 - (sums[rows] - i.lower[f])
-            ok = (r >= i.lower[f] - tol) & (r <= i.upper[f] + tol)
+            rest = sums[rows] - i.lower[f]  # the sum of the other cells
+            ok = compare_sum(rest + i.lower[f]) <= 0
+            ok &= compare_sum(rest + i.upper[f]) >= 0
             points = grid[rows][ok]
-            points[:, f] = np.clip(r[ok], i.lower[f], i.upper[f])
+            points[:, f] = np.clip(1.0 - rest[ok], i.lower[f], i.upper[f])
         if points.size:
+            points /= points.sum(axis=1, keepdims=True)
             values = _entropy_bits(points)
             t = int(np.argmin(values))
             if values[t] < best_value - 1e-15:

@@ -43,6 +43,19 @@ SUM_TOLERANCE = 1e-9
 SPACE_CELL_CAP = 4096
 
 
+def compare_sum(total):
+    """Compare a probability total with 1: -1 below, 0 within, +1 above.
+
+    Within means inside ``1 ± SUM_TOLERANCE``.  Every check of a sum against
+    1 makes this one float comparison, so :meth:`IntervalDistribution.violations`,
+    :class:`RealDistribution` and ``entropy.box_minent`` agree at the edge.
+    Works elementwise on arrays.
+    """
+    above = total > 1.0 + SUM_TOLERANCE
+    below = total < 1.0 - SUM_TOLERANCE
+    return above * 1 - below
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named variable with a finite, ordered domain of value labels."""
@@ -250,9 +263,9 @@ class IntervalDistribution:
                 out.append(f"cell ({cell}): upper {hi} > 1")
             if lo > hi:
                 out.append(f"cell ({cell}): lower {lo} > upper {hi}")
-        if float(self.lower.sum()) > 1.0 + SUM_TOLERANCE:
+        if compare_sum(float(self.lower.sum())) > 0:
             out.append(f"sum of lower bounds {self.lower.sum()} > 1")
-        if float(self.upper.sum()) < 1.0 - SUM_TOLERANCE:
+        if compare_sum(float(self.upper.sum())) < 0:
             out.append(f"sum of upper bounds {self.upper.sum()} < 1")
         return out
 
@@ -289,7 +302,7 @@ class RealDistribution:
             raise ValueError(f"p contains negative entries (min {arr.min()})")
         arr[arr < 0.0] = 0.0  # scrub -1e-17 style solver fuzz
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if compare_sum(total) != 0:
             raise ValueError(f"p sums to {total}, expected 1 within {SUM_TOLERANCE}")
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)

@@ -175,6 +175,31 @@ def test_measure_u1_and_u2_run(capsys):
     assert float(u2_out) <= float(u1_out) + 1e-9
 
 
+def test_sum_at_the_tolerance_edge_passes_every_command(capsys, tmp_path):
+    # 0.500000001 + 0.5 is 1 + SUM_TOLERANCE in floats, which validate accepts.
+    path = tmp_path / "edge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": [{"name": "X", "domain": ["x0", "x1"]}],
+                "table": {
+                    "vars": ["X"],
+                    "rows": [
+                        {"key": ["x0"], "p": 0.500000001},
+                        {"key": ["x1"], "p": 0.5},
+                    ],
+                },
+            }
+        )
+    )
+    assert run(capsys, "validate", path)[:2] == (0, "OK\n")
+    code, u1_out, _ = run(capsys, "measure", path, "u1")
+    assert code == 0
+    assert run(capsys, "measure", path, "u2") == (0, u1_out, "")
+    code, out, err = run(capsys, "mvd", path, "--w", "X")
+    assert (code, err) == (0, "")
+
+
 def test_measure_invalid_distribution(capsys):
     code, out, err = run(capsys, "measure", FIXTURES / "bad_lower_gt_upper.json", "u0")
     assert code == 1

@@ -18,7 +18,7 @@ from ivprob import (
     is_more_informative,
     validate,
 )
-from ivprob.model import SPACE_CELL_CAP
+from ivprob.model import SPACE_CELL_CAP, SUM_TOLERANCE
 from oracles import random_interval, random_space, widen
 
 
@@ -141,6 +141,22 @@ def test_real_distribution_checks_mass(space_xy):
         RealDistribution(space_xy, np.array([0.6, 0.5, 0.1, -0.2]))
     p = RealDistribution(space_xy, np.array([1.0, -1e-13, 0.0, 1e-13]))
     assert (p.p >= 0.0).all()
+
+
+def test_real_distribution_accepts_the_sums_validation_accepts():
+    sp = Space((Variable("V", ("v1", "v2")),))
+    for edge, outward in ((1.0 + SUM_TOLERANCE, 2.0), (1.0 - SUM_TOLERANCE, 0.0)):
+        beyond = np.nextafter(edge, outward)
+        for total in (np.nextafter(edge, 1.0), edge, beyond):
+            half = [total / 2.0] * 2  # sums to total exactly
+            valid = not IntervalDistribution(sp, half, half).violations()
+            assert valid == (total != beyond)
+            try:
+                RealDistribution(sp, half)
+            except ValueError:
+                assert not valid
+            else:
+                assert valid
 
 
 def test_degenerate_interval_is_valid_and_converts(space_xy, ed_star):
