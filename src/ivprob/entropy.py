@@ -149,7 +149,7 @@ def box_maxent(i: IntervalDistribution) -> RealDistribution:
     """
     i.require_valid()
     lower, upper = np.sort(i.lower), np.sort(i.upper)
-    levels = np.unique(np.concatenate((lower, upper)))
+    levels = np.sort(np.concatenate((lower, upper)))
     low = np.searchsorted(lower, levels, side="right")  # cells with lower <= c
     high = np.searchsorted(upper, levels)  # cells with upper < c, all among them
     lower_sums = np.cumsum(np.append(0.0, lower))
