@@ -30,9 +30,9 @@ from .model import (
     require_valid,
     validate,
 )
+from .simplex import SimplexResult
 from .polytope import (
     ConstraintSystem,
-    LpOutcome,
     constraints_from_box,
     constraints_from_database,
     is_consistent,
@@ -96,8 +96,8 @@ __all__ = [
     "is_more_informative",
     "require_valid",
     "validate",
+    "SimplexResult",
     "ConstraintSystem",
-    "LpOutcome",
     "constraints_from_box",
     "constraints_from_database",
     "is_consistent",

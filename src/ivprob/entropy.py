@@ -40,8 +40,9 @@ def shannon_entropy(p: RealDistribution) -> float:
 
 
 def _split_variables(p: RealDistribution, target, given) -> tuple[tuple, tuple]:
+    given = tuple(given)  # read a one-shot iterable once
     target_names = p.space.ordered_subset(target)
-    given_names = p.space.ordered_subset(given) if tuple(given) else ()
+    given_names = p.space.ordered_subset(given) if given else ()
     if not target_names:
         raise ValueError("conditional entropy requires a non-empty target set")
     overlap = set(target_names) & set(given_names)
@@ -176,12 +177,15 @@ def box_minent(i: IntervalDistribution) -> RealDistribution:
 
     Entropy is strictly concave, so a minimum lies at a vertex of the feasible
     polytope, and each vertex has at most one cell strictly between its
-    bounds.  One grid of the ``2^n`` endpoint patterns yields them all: the
-    rows that sum to one (by :func:`~ivprob.model.compare_sum`), then for each
-    cell ``f`` the rows with ``f`` at its lower bound, ``f`` reset to absorb
-    the slack.  Each candidate is divided by its sum, and the first of least
-    entropy wins.  This is exponential in the cell count and refuses spaces
-    larger than ``MINENT_CELL_CAP`` cells.
+    bounds.  One grid of the ``2^n`` endpoint patterns yields them all: for
+    each cell ``f``, the rows with ``f`` at its lower bound, ``f`` reset to
+    absorb the slack when that lands inside ``f``'s bounds (by
+    :func:`~ivprob.model.compare_sum`).  A vertex with every cell at an
+    endpoint is among them too: it is the candidate of any cell at its lower
+    bound, and the all-upper vertex is the candidate of every cell.  Each
+    candidate is divided by its sum, and the first of least entropy wins.
+    This is exponential in the cell count and refuses spaces larger than
+    ``MINENT_CELL_CAP`` cells.
     """
     i.require_valid()
     n = i.space.cell_count
@@ -194,16 +198,13 @@ def box_minent(i: IntervalDistribution) -> RealDistribution:
     grid = np.where(at_upper, i.upper, i.lower)
     sums = grid.sum(axis=1)
     best_value, best_point = np.inf, None
-    for f in (None, *range(n)):
-        if f is None:  # every cell at an endpoint
-            points = grid[compare_sum(sums) == 0]
-        else:  # cell f absorbs the slack, the rest at endpoints
-            rows = ~at_upper[:, f]
-            rest = sums[rows] - i.lower[f]  # the sum of the other cells
-            ok = compare_sum(rest + i.lower[f]) <= 0
-            ok &= compare_sum(rest + i.upper[f]) >= 0
-            points = grid[rows][ok]
-            points[:, f] = np.clip(1.0 - rest[ok], i.lower[f], i.upper[f])
+    for f in range(n):  # cell f absorbs the slack, the rest at endpoints
+        rows = ~at_upper[:, f]
+        rest = sums[rows] - i.lower[f]  # the sum of the other cells
+        ok = compare_sum(rest + i.lower[f]) <= 0
+        ok &= compare_sum(rest + i.upper[f]) >= 0
+        points = grid[rows][ok]
+        points[:, f] = np.clip(1.0 - rest[ok], i.lower[f], i.upper[f])
         if points.size:
             points /= points.sum(axis=1, keepdims=True)
             values = _entropy_bits(points)
@@ -230,7 +231,8 @@ def mvd_strength(p: RealDistribution, u, w) -> float:
     splits losslessly into its (u ∪ w) and (u ∪ z) marginals — and otherwise
     the divergence between ``p`` and that split.
     """
-    u_names = p.space.ordered_subset(u) if tuple(u) else ()
+    u = tuple(u)  # read a one-shot iterable once
+    u_names = p.space.ordered_subset(u) if u else ()
     w_names = p.space.ordered_subset(w)
     overlap = set(u_names) & set(w_names)
     if overlap:

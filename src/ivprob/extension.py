@@ -73,14 +73,13 @@ def extension_star(db: Database) -> IntervalDistribution:
     # One simplex call for all 2n unit objectives: its shared phase 1 is the
     # feasibility probe, so an empty system fails with one clear error.
     cells = np.eye(n)
-    outcomes = optimize(cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n)
-    if outcomes[0].status != OPTIMAL:
+    result = optimize(cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n)
+    if result.status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",
-            infeasibility=outcomes[0].infeasibility,
+            infeasibility=result.infeasibility,
         )
-    values = np.array([outcome.value for outcome in outcomes])
-    return _scrubbed(cs.space, values[:n], values[n:])
+    return _scrubbed(cs.space, result.objective[:n], result.objective[n:])
 
 
 def joint_intervals(db: Database) -> IntervalDistribution:

@@ -10,8 +10,10 @@ the cell's bounds as the row's range, plus the normalization row.  Every
 system lies in the unit box ``0 <= p <= 1``, and :func:`optimize` passes its
 arrays with those column bounds straight to the bounded-variable simplex to
 compute exact min/max linear objectives; this is the LP path behind database
-envelopes.  Given a matrix of objectives, :func:`optimize` makes one simplex
-call for all of them, so phase 1 runs once per system.
+envelopes.  :func:`optimize` takes a matrix of objectives and makes one
+simplex call for all of them, so phase 1 runs once per system, and it returns
+that call's one :class:`~ivprob.simplex.SimplexResult` after one residual
+check of the whole witness matrix.
 :func:`constraints_from_box` builds the system of an interval box
 ``{p : lower <= p <= upper, sum(p) = 1}`` as that of a one-table database
 over the box's own space.  Box envelopes have a closed form (see
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import simplex
 from .errors import SolverError
-from .model import Database, IntervalDistribution, RealDistribution, Space, require_valid
+from .model import Database, IntervalDistribution, Space, require_valid
 
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = simplex.INFEASIBLE
@@ -83,11 +85,16 @@ class ConstraintSystem:
             object.__setattr__(self, name, value)
 
     def max_residual(self, p: np.ndarray) -> float:
-        """Largest violation of any row or of the unit box at ``p``."""
-        ap = self.a @ p
+        """Largest violation of any row or of the unit box at ``p``.
+
+        ``p`` is one point or a ``k x n`` stack of points, one per row; the
+        stack's residual is the largest over its points.  Only the ``k x m``
+        row products are built, never a ``k x n`` temporary.
+        """
+        ap = p @ self.a.T
         rows = np.maximum(self.row_lower - ap, ap - self.row_upper)
-        bounds = np.maximum(-p, p - 1.0)
-        return float(max(np.max(rows), np.max(bounds, initial=0.0), 0.0))
+        bounds = max(-p.min(initial=0.0), p.max(initial=1.0) - 1.0)
+        return float(max(np.max(rows), bounds, 0.0))
 
 
 def constraints_from_database(db: Database) -> ConstraintSystem:
@@ -129,36 +136,24 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
     return constraints_from_database(Database((i,)))
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    """Result of one linear program over a constraint system."""
-
-    status: str
-    value: float | None = None
-    witness: RealDistribution | None = None
-    #: Total residual infeasibility reported by phase 1 when status is infeasible.
-    infeasibility: float = 0.0
-
-
 def optimize(
-    cs: ConstraintSystem, objective, direction: str | Sequence[str]
-) -> LpOutcome | list[LpOutcome]:
-    """Exact min or max of ``objective . p`` over the system.
+    cs: ConstraintSystem, objectives: np.ndarray, directions: Sequence[str]
+) -> simplex.SimplexResult:
+    """Exact min or max of every row of the ``k x n`` matrix ``objectives`` over the system.
 
-    Returns an optimal outcome whose witness attains the value, or an
-    infeasible outcome; the feasible region is inside the unit box, so an
-    unbounded program indicates a solver bug and raises :class:`SolverError`.
-    ``objective`` may also be a ``k x n`` matrix with one direction per row;
-    then a list of ``k`` outcomes is returned from one simplex call, whose
-    single phase 1 decides feasibility for every row.
+    Row ``r`` is minimized or maximized as ``directions[r]`` says.  One
+    simplex call solves all rows, and its single phase 1 decides feasibility
+    for all of them, so the result is either infeasible as a whole or holds
+    one checked witness per row in ``x`` and its value in ``objective``.  The
+    feasible region is inside the unit box, so an unbounded program, or a
+    witness off the system by more than ``FEASIBILITY_TOL``, indicates a
+    solver bug and raises :class:`SolverError`.
     """
     n = cs.space.cell_count
-    obj = np.asarray(objective, dtype=np.float64)
-    single = obj.ndim == 1
-    objs = obj[None, :] if single else obj
-    directions = (direction,) if single else tuple(direction)
+    objs = np.asarray(objectives, dtype=np.float64)
+    directions = tuple(directions)
     if objs.ndim != 2 or objs.shape[1] != n:
-        raise ValueError(f"objective must have one coefficient per cell ({n})")
+        raise ValueError(f"objectives must be a matrix with one coefficient per cell ({n})")
     if not np.all(np.isfinite(objs)):
         raise ValueError("objective coefficients must be finite")
     if len(directions) != len(objs):
@@ -167,28 +162,22 @@ def optimize(
         if d not in ("min", "max"):
             raise ValueError(f"direction must be 'min' or 'max', got {d!r}")
 
-    results = simplex.solve(
+    res = simplex.solve(
         cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs,
         maximize=[d == "max" for d in directions],
     )
-    outcomes = [_outcome(cs, row, res) for row, res in zip(objs, results)]
-    return outcomes[0] if single else outcomes
-
-
-def _outcome(cs: ConstraintSystem, obj: np.ndarray, res: simplex.SimplexResult) -> LpOutcome:
     if res.status != OPTIMAL:
-        return LpOutcome(INFEASIBLE, infeasibility=res.infeasibility)
+        return res
     x = res.x
-    x = np.where((x < 0.0) & (x > -FEASIBILITY_TOL), 0.0, x)
+    x[(x < 0.0) & (x > -FEASIBILITY_TOL)] = 0.0
     resid = cs.max_residual(x)
     if resid > FEASIBILITY_TOL:
         raise SolverError(f"witness violates constraints by {resid}")
-    value = float(obj @ x)
-    return LpOutcome(OPTIMAL, value=value, witness=RealDistribution(cs.space, x))
+    return simplex.SimplexResult(OPTIMAL, x, np.einsum("ij,ij->i", objs, x), 0.0)
 
 
 def is_consistent(db: Database) -> bool:
     """True iff some joint distribution satisfies every table of ``db``."""
     cs = constraints_from_database(db)
-    probe = optimize(cs, np.zeros(cs.space.cell_count), "max")
+    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), ["max"])
     return probe.status == OPTIMAL

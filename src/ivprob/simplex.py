@@ -28,10 +28,11 @@ puts its logical in the basis; any other row fixes its logical at the violated
 bound and puts an artificial variable in the basis, whose value is the gap.
 Phase 1 does not depend on the objective, so it runs once per system, and
 every cost row's phase 2 starts from a copy of the phase-1 basis and bound
-flags.  Each row's result is therefore bit-identical to a solve with that row
+flags.  Each row's witness is therefore bit-identical to a solve with that row
 alone, and an envelope sweep over one polytope pays for one feasibility
 search, not one per objective (the warm start for re-optimizing one polytope,
-Chvátal, *Linear Programming*, 1983, ch. 8).
+Chvátal, *Linear Programming*, 1983, ch. 8).  One call returns one
+:class:`SimplexResult` for all rows.
 
 Vertices are reached exactly (up to float rounding of the input data), which
 downstream callers rely on for witness feasibility at tight tolerances.
@@ -58,8 +59,10 @@ PIVOT_TOL = 1e-11
 @dataclass(frozen=True)
 class SimplexResult:
     status: str
+    #: One optimal witness per cost row (``k x n``) when optimal.
     x: np.ndarray | None
-    objective: float | None
+    #: One optimal value per cost row when optimal.
+    objective: np.ndarray | None
     #: Phase-1 optimum (total residual constraint violation) when infeasible.
     infeasibility: float
 
@@ -72,14 +75,15 @@ def solve(
     hi: np.ndarray,
     costs: np.ndarray,
     maximize: Sequence[bool],
-) -> list[SimplexResult]:
+) -> SimplexResult:
     """Optimize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
 
     Row ``r`` is maximized when ``maximize[r]`` is true and minimized
-    otherwise.  One :class:`SimplexResult` is returned per row, all sharing
-    one phase 1, so an infeasible system gives ``k`` infeasible results with
-    one ``infeasibility``.  Crossed bounds, of a column or of a row, make the
-    system infeasible with the largest crossing as its ``infeasibility``.
+    otherwise.  The one result holds row ``r``'s witness in ``x[r]`` and its
+    value in ``objective[r]``; all rows share one phase 1, so an infeasible
+    system gives one infeasible result.  Crossed bounds, of a column or of a
+    row, make the system infeasible with the largest crossing as its
+    ``infeasibility``.
     """
     a = np.asarray(a, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
@@ -96,7 +100,7 @@ def solve(
     lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
     hi_x = np.concatenate([hi, row_upper]).astype(np.float64)
     if np.any(lo_x > hi_x):
-        return [SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))] * len(costs)
+        return SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))
 
     # Nonbasic start: structural at lower bound.  A row whose start lies
     # outside its range rests its logical at the violated bound and takes a
@@ -122,19 +126,18 @@ def solve(
     basis, at_upper, x = _iterate(ax, lo_x, hi_x, c1, basis, at_upper)
     infeas = float(x[art0:].sum())
     if infeas > FEASIBILITY_TOL:
-        return [SimplexResult(INFEASIBLE, None, None, infeas)] * len(costs)
+        return SimplexResult(INFEASIBLE, None, None, infeas)
 
     # Phase 2: pin artificials at zero and optimize each real objective from
     # a copy of the phase-1 basis (_iterate updates its basis in place).
     hi_x[art0:] = 0.0
-    results = []
-    for row, up in zip(costs, flags):
+    xs = np.empty((len(costs), n))
+    for r, (row, up) in enumerate(zip(costs, flags)):
         c2 = np.zeros(len(lo_x))
         c2[:n] = row if up else -row
         _, _, x = _iterate(ax, lo_x, hi_x, c2, basis.copy(), at_upper.copy())
-        xs = x[:n].copy()
-        results.append(SimplexResult(OPTIMAL, xs, float(row @ xs), 0.0))
-    return results
+        xs[r] = x[:n]
+    return SimplexResult(OPTIMAL, xs, np.einsum("ij,ij->i", costs, xs), 0.0)
 
 
 def _iterate(ax, lo_x, hi_x, cost, basis, at_upper):
@@ -147,9 +150,6 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper):
     fixed = lo_x == hi_x
     max_iter = 200 * (n_tot + m) + 1000
     for _ in range(max_iter):
-        in_basis = np.zeros(n_tot, dtype=bool)
-        in_basis[basis] = True
-
         x = np.where(at_upper, hi_x, lo_x)
         x[basis] = 0.0
         if not np.all(np.isfinite(x)):
@@ -163,7 +163,8 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper):
 
         y = np.linalg.solve(bmat.T, cost[basis])
         red = cost - y @ ax
-        can_enter = ~in_basis & ~fixed & (
+        red[basis] = 0.0  # basic columns never enter
+        can_enter = ~fixed & (
             (~at_upper & (red > FEASIBILITY_TOL)) | (at_upper & (red < -FEASIBILITY_TOL))
         )
         if not can_enter.any():

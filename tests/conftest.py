@@ -16,9 +16,12 @@ from ivprob import (
     Database,
     IntervalDistribution,
     RealDistribution,
+    SimplexResult,
     Space,
     Variable,
+    optimize,
 )
+from ivprob.polytope import OPTIMAL
 
 
 def _binary(name: str, prefix: str) -> Variable:
@@ -165,3 +168,11 @@ def assert_intervals_close(actual, expected, atol=1e-9):
     """Endpointwise comparison helper used across the suite."""
     np.testing.assert_allclose(actual.lower, expected.lower, atol=atol, rtol=0.0)
     np.testing.assert_allclose(actual.upper, expected.upper, atol=atol, rtol=0.0)
+
+
+def optimize_one(cs, objective, direction):
+    """``optimize`` for the one objective vector: row 0 of a one-row batch."""
+    res = optimize(cs, np.asarray(objective, dtype=float)[None, :], [direction])
+    if res.status != OPTIMAL:
+        return res
+    return SimplexResult(res.status, res.x[0], res.objective[0], res.infeasibility)

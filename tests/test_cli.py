@@ -370,3 +370,20 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: internal solver failure: singular basis\n"
+
+
+def test_bad_last_witness_exits_3(capsys, monkeypatch):
+    import ivprob.simplex
+
+    solve = ivprob.simplex.solve
+
+    def last_witness_off(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x[-1, 0] += 1e-6  # breaks the normalization of the last witness only
+        return res
+
+    monkeypatch.setattr(ivprob.simplex, "solve", last_witness_off)
+    code, out, err = run(capsys, "extend", FIXTURES / "db_d.json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal solver failure: witness violates constraints by ")

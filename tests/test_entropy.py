@@ -28,13 +28,13 @@ from ivprob import (
     measure_u1,
     measure_u2,
     mvd_strength,
-    optimize,
     project_database,
     project_real,
     shannon_entropy,
     tighten,
 )
 
+from conftest import optimize_one
 from oracles import (
     entropy_bits,
     min_entropy_by_vertices,
@@ -82,6 +82,18 @@ def test_conditional_entropy_rejects_overlap_and_unknowns(ed_star):
         conditional_entropy(ed_star, (), ("X",))
     with pytest.raises(Exception):
         conditional_entropy(ed_star, ("Q",), ())
+
+
+def test_variable_sets_may_be_one_shot_iterables(abc_mid):
+    # Each set is read once, so a generator means the same as its list.
+    for target, given in ((["C"], ["B"]), (["C"], ["A", "B"]), (["A"], [])):
+        want = conditional_entropy(abc_mid, target, given)
+        assert conditional_entropy(abc_mid, iter(target), iter(given)) == want
+    assert conditional_entropy(abc_mid, ["C"], iter(["B"])) > 0.5
+    for u, w in ((["B"], ["C"]), (["C"], ["B"]), ([], ["A"])):
+        want = mvd_strength(abc_mid, u, w)
+        assert mvd_strength(abc_mid, iter(u), iter(w)) == want
+    assert mvd_strength(abc_mid, iter(["C"]), ["B"]) > 0.01
 
 
 def test_conditional_independence_of_abc_midpoint(abc_mid):
@@ -409,8 +421,8 @@ def test_envelope_extremizes_all_three_measures():
         n = sp.cell_count
         u0_env, u1_env, u2_env = measure_u0(env), measure_u1(env), measure_u2(env)
         for _ in range(25):
-            witness = optimize(cs, rng.normal(size=n), "max").witness
-            p = np.clip(witness.p, env.lower, env.upper)
+            witness = optimize_one(cs, rng.normal(size=n), "max").x
+            p = np.clip(witness, env.lower, env.upper)
             frac_lo = rng.uniform(0.0, 1.0, n)
             frac_hi = rng.uniform(0.0, 1.0, n)
             sample = IntervalDistribution(

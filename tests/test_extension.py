@@ -20,7 +20,6 @@ from ivprob import (
     extension_star,
     is_more_informative,
     joint_intervals,
-    optimize,
     project_database,
     project_interval,
     project_real,
@@ -30,7 +29,7 @@ from ivprob import (
 from ivprob.model import SUM_TOLERANCE
 from ivprob.polytope import FEASIBILITY_TOL
 
-from conftest import assert_intervals_close
+from conftest import assert_intervals_close, optimize_one
 from oracles import (
     grid_linear_range,
     random_consistent_database,
@@ -217,11 +216,12 @@ def test_envelope_contains_all_witnesses_and_attains_endpoints():
             obj = np.zeros(n)
             obj[cell] = 1.0
             for direction, endpoint in (("min", env.lower[cell]), ("max", env.upper[cell])):
-                out = optimize(cs, obj, direction)
-                assert out.witness is not None
-                assert cs.max_residual(out.witness.p) <= FEASIBILITY_TOL
-                assert out.value == pytest.approx(endpoint, abs=1e-9)
-                assert is_more_informative(out.witness.as_interval(), env, atol=1e-9)
+                out = optimize_one(cs, obj, direction)
+                assert out.x is not None
+                assert cs.max_residual(out.x) <= FEASIBILITY_TOL
+                assert out.objective == pytest.approx(endpoint, abs=1e-9)
+                witness = RealDistribution(cs.space, out.x)
+                assert is_more_informative(witness.as_interval(), env, atol=1e-9)
 
 
 def test_tight_input_is_more_informative_than_reconstruction():
@@ -286,8 +286,8 @@ def _lp_fiber_envelope(i, pm, k):
     """Min and max of every fiber sum by the box LP, the reference path."""
     cs = constraints_from_box(i)
     fibers = [(pm == t).astype(float) for t in range(k)]
-    lower = [optimize(cs, f, "min").value for f in fibers]
-    upper = [optimize(cs, f, "max").value for f in fibers]
+    lower = [optimize_one(cs, f, "min").objective for f in fibers]
+    upper = [optimize_one(cs, f, "max").objective for f in fibers]
     return np.array(lower), np.array(upper)
 
 
@@ -383,13 +383,13 @@ def test_extension_star_equals_per_cell_lps_exactly():
         env = extension_star(db)
         cs = constraints_from_database(db)
         cells = np.eye(cs.space.cell_count)
-        lower = np.clip([optimize(cs, e, "min").value for e in cells], 0.0, 1.0)
-        upper = np.clip([optimize(cs, e, "max").value for e in cells], 0.0, 1.0)
+        lower = np.clip([optimize_one(cs, e, "min").objective for e in cells], 0.0, 1.0)
+        upper = np.clip([optimize_one(cs, e, "max").objective for e in cells], 0.0, 1.0)
         np.testing.assert_array_equal(env.lower, np.minimum(lower, upper))
         np.testing.assert_array_equal(env.upper, upper)
 
         cs = constraints_from_database(inconsistent)
-        probe = optimize(cs, np.zeros(cs.space.cell_count), "max")
+        probe = optimize_one(cs, np.zeros(cs.space.cell_count), "max")
         with pytest.raises(InfeasibleError) as exc:
             extension_star(inconsistent)
         assert probe.infeasibility > 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ivprob import (
     Database,
     InfeasibleError,
     IntervalDistribution,
+    SolverError,
     Space,
     Variable,
     constraints_from_box,
@@ -22,6 +25,7 @@ from ivprob import (
 )
 from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
 
+from conftest import optimize_one
 from oracles import (
     grid_linear_range,
     random_consistent_database,
@@ -68,6 +72,35 @@ def test_constraint_residual(space_xy):
     assert ok.max_residual(np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
     assert ok.max_residual(np.array([1.3, -0.3, 0.0, 0.0])) == pytest.approx(0.3)
     assert ok.max_residual(np.array([0.7, -0.2, 0.3, 0.2])) == pytest.approx(0.2)
+
+
+def test_residual_of_a_stack_is_the_largest_point_residual():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        sp = random_space(rng, max_cells=8, max_variables=3)
+        cs = constraints_from_database(random_consistent_database(rng, sp))
+        points = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 6)), sp.cell_count))
+        points[rng.random(len(points)) < 0.3] = random_real(rng, sp).p  # some rows on the simplex
+        each = max(cs.max_residual(p) for p in points)
+        assert cs.max_residual(points) == pytest.approx(each, rel=1e-12, abs=1e-15)
+
+
+def test_residual_of_a_stack_builds_no_stack_sized_temporary():
+    # One float copy of the 2,048 x 1,024 stack takes 16 MB; the row
+    # products over three rows take 48 kB.
+    rng = np.random.default_rng(62)
+    sp = Space((Variable("V", tuple(f"v{j}" for j in range(1024))),))
+    a = np.vstack([rng.random((2, 1024)) < 0.5, np.ones(1024)])
+    cs = ConstraintSystem(sp, a, [0.1, 0.2, 1.0], [0.6, 0.7, 1.0])
+    points = rng.uniform(-0.1, 1.1, size=(2048, 1024))
+    tracemalloc.start()
+    try:
+        resid = cs.max_residual(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resid > 0.0
+    assert peak < 8 * 2**20
 
 
 def test_system_requires_exactly_one_normalization(space_x):
@@ -218,24 +251,29 @@ def test_database_rows_follow_tables_and_cells_in_order():
 def test_optimize_marginal_cell_over_degenerate_database(db_d):
     cs = constraints_from_database(db_d)
     obj = np.array([1.0, 0.0, 0.0, 0.0])  # p(x1, y1)
-    top = optimize(cs, obj, "max")
-    bot = optimize(cs, obj, "min")
+    top = optimize_one(cs, obj, "max")
+    bot = optimize_one(cs, obj, "min")
     assert top.status == OPTIMAL and bot.status == OPTIMAL
-    assert top.value == pytest.approx(0.6, abs=1e-9)
-    assert bot.value == pytest.approx(0.3, abs=1e-9)
-    assert top.witness is not None
-    assert cs.max_residual(top.witness.p) <= FEASIBILITY_TOL
+    assert top.objective == pytest.approx(0.6, abs=1e-9)
+    assert bot.objective == pytest.approx(0.3, abs=1e-9)
+    assert top.x is not None
+    assert cs.max_residual(top.x) <= FEASIBILITY_TOL
 
 
 def test_optimize_rejects_bad_objectives(db_d):
     cs = constraints_from_database(db_d)
     with pytest.raises(ValueError):
-        optimize(cs, np.array([1.0, 0.0]), "max")
+        optimize(cs, np.array([[1.0, 0.0]]), ["max"])
     with pytest.raises(ValueError):
-        optimize(cs, np.array([1.0, 0.0, 0.0, np.inf]), "max")
+        optimize(cs, np.array([[1.0, 0.0, 0.0, np.inf]]), ["max"])
     with pytest.raises(ValueError):
-        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), "best")
-    # The objective-matrix form: one direction per row.
+        optimize(cs, np.array([[1.0, 0.0, 0.0, 0.0]]), ["best"])
+    # A flat vector is refused like any other non-matrix.
+    with pytest.raises(ValueError, match="matrix"):
+        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), ["max"])
+    with pytest.raises(ValueError, match="matrix"):
+        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), "max")
+    # Shape, finite values and one direction per row.
     with pytest.raises(ValueError):
         optimize(cs, np.zeros((2, 3)), ["min", "max"])
     with pytest.raises(ValueError):
@@ -255,13 +293,33 @@ def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
         objs = rng.normal(size=(6, cs.space.cell_count))
         directions = ["min", "max", "max", "min", "max", "min"]
         many = optimize(cs, objs, directions)
-        assert len(many) == len(objs)
-        for obj, direction, got in zip(objs, directions, many):
-            one = optimize(cs, obj, direction)
-            assert got.status == one.status == OPTIMAL
-            assert got.value == one.value
-            assert got.witness == one.witness
-            assert cs.max_residual(got.witness.p) <= FEASIBILITY_TOL
+        assert many.status == OPTIMAL
+        assert many.x.shape == objs.shape and many.objective.shape == (len(objs),)
+        for obj, direction, x, value in zip(objs, directions, many.x, many.objective):
+            one = optimize_one(cs, obj, direction)
+            assert one.status == OPTIMAL
+            assert value == one.objective
+            np.testing.assert_array_equal(x, one.x)
+            assert cs.max_residual(x) <= FEASIBILITY_TOL
+
+
+def test_optimize_checks_every_witness_of_the_batch(db_i, monkeypatch):
+    from ivprob import simplex
+
+    solve = simplex.solve
+
+    def last_witness_off(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x[-1, 0] += 1e-6  # the last witness now sums to 1 + 1e-6
+        return res
+
+    cs = constraints_from_database(db_i)
+    objs = np.eye(cs.space.cell_count)
+    monkeypatch.setattr(simplex, "solve", last_witness_off)
+    with pytest.raises(SolverError, match="witness violates constraints"):
+        optimize(cs, objs, ["max"] * len(objs))
+    monkeypatch.undo()
+    assert optimize(cs, objs, ["max"] * len(objs)).status == OPTIMAL
 
 
 def test_optimize_detects_contradictory_bounds(space_x):
@@ -272,7 +330,7 @@ def test_optimize_detects_contradictory_bounds(space_x):
         [0.8, 0.5, 1.0],
         [0.9, 0.6, 1.0],
     )
-    out = optimize(cs, np.array([1.0, 0.0]), "max")
+    out = optimize_one(cs, np.array([1.0, 0.0]), "max")
     assert out.status == INFEASIBLE
     assert out.infeasibility == pytest.approx(0.3, abs=1e-9)
 
@@ -283,10 +341,10 @@ def test_empty_database_with_explicit_space_gives_unit_box(space_x):
     np.testing.assert_array_equal(cs.a, [[1.0, 1.0]])  # just normalization
     np.testing.assert_array_equal(cs.row_lower, [1.0])
     np.testing.assert_array_equal(cs.row_upper, [1.0])
-    top = optimize(cs, np.array([1.0, 0.0]), "max")
-    bot = optimize(cs, np.array([1.0, 0.0]), "min")
-    assert top.value == pytest.approx(1.0, abs=1e-9)
-    assert bot.value == pytest.approx(0.0, abs=1e-9)
+    top = optimize_one(cs, np.array([1.0, 0.0]), "max")
+    bot = optimize_one(cs, np.array([1.0, 0.0]), "min")
+    assert top.objective == pytest.approx(1.0, abs=1e-9)
+    assert bot.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_box_system_is_a_one_table_database(space_xy):
@@ -310,7 +368,7 @@ def test_one_label_box_of_probability_one_has_one_row():
     np.testing.assert_array_equal(cs.a, [[1.0]])
     np.testing.assert_array_equal(cs.row_lower, [1.0])
     np.testing.assert_array_equal(cs.row_upper, [1.0])
-    lp = [optimize(cs, np.ones(1), d).value for d in ("min", "max")]
+    lp = [optimize_one(cs, np.ones(1), d).objective for d in ("min", "max")]
     env = tighten(sure)
     assert [env.lower[0], env.upper[0]] == [1.0, 1.0]
     assert lp == [pytest.approx(1.0, abs=1e-12)] * 2
@@ -325,8 +383,8 @@ def test_box_envelopes_match_grid_oracle():
         cs = constraints_from_box(i)
         for trial in range(3):
             obj = rng.normal(size=n)
-            lo_lp = optimize(cs, obj, "min").value
-            hi_lp = optimize(cs, obj, "max").value
+            lo_lp = optimize_one(cs, obj, "min").objective
+            hi_lp = optimize_one(cs, obj, "max").objective
             lo_g, hi_g = grid_linear_range(i.lower, i.upper, obj, step=1e-3)
             assert lo_lp == pytest.approx(lo_g, abs=5e-3 * np.abs(obj).sum())
             assert hi_lp == pytest.approx(hi_g, abs=5e-3 * np.abs(obj).sum())
@@ -340,8 +398,8 @@ def test_database_envelopes_bracket_grid_oracle(space_xy):
         cs = constraints_from_database(db)
         rows = list(zip(cs.a[:-1], cs.row_lower[:-1], cs.row_upper[:-1]))
         obj = rng.normal(size=4)
-        lo_lp = optimize(cs, obj, "min").value
-        hi_lp = optimize(cs, obj, "max").value
+        lo_lp = optimize_one(cs, obj, "min").objective
+        hi_lp = optimize_one(cs, obj, "max").objective
         # Exact-filter grid can only see a subset of the polytope:
         lo_in, hi_in = grid_linear_range(
             np.zeros(4), np.ones(4), obj, step=step, rows=rows
@@ -366,8 +424,8 @@ def test_row_scaling_does_not_change_optimum(db_d):
         cs.space, scale[:, None] * cs.a, scale * cs.row_lower, scale * cs.row_upper
     )
     obj = np.array([1.0, 0.0, 0.0, 0.0])
-    assert optimize(doubled, obj, "max").value == pytest.approx(0.6, abs=1e-9)
-    assert optimize(doubled, obj, "min").value == pytest.approx(0.3, abs=1e-9)
+    assert optimize_one(doubled, obj, "max").objective == pytest.approx(0.6, abs=1e-9)
+    assert optimize_one(doubled, obj, "min").objective == pytest.approx(0.3, abs=1e-9)
 
 
 def test_is_consistent_accepts_and_rejects(space_x, space_xy, db_d, db_i):
@@ -383,11 +441,12 @@ def test_infeasibility_magnitude_reported(space_x):
     t1 = IntervalDistribution(space_x, np.array([0.7, 0.3]), np.array([0.7, 0.3]))
     t2 = IntervalDistribution(space_x, np.array([0.2, 0.8]), np.array([0.2, 0.8]))
     cs = constraints_from_database(Database((t1, t2)))
-    out = optimize(cs, np.zeros(2), "max")
+    out = optimize_one(cs, np.zeros(2), "max")
     assert out.status == INFEASIBLE
     many = optimize(cs, np.eye(2), ["min", "max"])
-    assert [o.status for o in many] == [INFEASIBLE, INFEASIBLE]
-    assert [o.infeasibility for o in many] == [out.infeasibility] * 2
+    assert many.status == INFEASIBLE
+    assert many.x is None and many.objective is None
+    assert many.infeasibility == out.infeasibility
     # The reported magnitude can never undercut the true minimal L1 violation,
     # which is 1.0 for these clashing tables (attained at p = (0.45, 0.55)).
     assert out.infeasibility >= 1.0 - 1e-9

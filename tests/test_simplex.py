@@ -12,15 +12,17 @@ INF = np.inf
 
 
 def _solve(a, row_lower, row_upper, lo, hi, costs, maximize):
-    """``simplex.solve`` on array-likes: one result per row of ``costs``."""
+    """``simplex.solve`` on array-likes: one result for all rows of ``costs``."""
     arrays = (np.asarray(v, float) for v in (a, row_lower, row_upper, lo, hi, costs))
     return simplex.solve(*arrays, maximize)
 
 
 def _solve_one(a, row_lower, row_upper, lo, hi, c, maximize=True):
-    """The result for the one cost vector ``c``."""
-    (res,) = _solve(a, row_lower, row_upper, lo, hi, [c], [maximize])
-    return res
+    """The result for the one cost vector ``c``: row 0 of a one-row batch."""
+    res = _solve(a, row_lower, row_upper, lo, hi, [c], [maximize])
+    if res.status != simplex.OPTIMAL:
+        return res
+    return simplex.SimplexResult(res.status, res.x[0], res.objective[0], res.infeasibility)
 
 
 def test_simple_capacity_maximum():
@@ -69,8 +71,8 @@ def test_crossed_row_range_is_infeasible_by_its_gap():
     assert res.x is None and res.objective is None
     assert res.infeasibility == pytest.approx(0.4)
     many = _solve([[1.0]], [0.9], [0.2], [0.0], [1.0], [[1.0], [1.0]], maximize=[True, False])
-    assert [r.status for r in many] == [simplex.INFEASIBLE] * 2
-    assert [r.infeasibility for r in many] == [pytest.approx(0.7)] * 2
+    assert many.status == simplex.INFEASIBLE
+    assert many.infeasibility == pytest.approx(0.7)
     # Crossed columns and rows together: the larger crossing is reported.
     both = _solve_one([[1.0]], [0.9], [0.2], [0.6], [0.5], [1.0])
     assert both.infeasibility == pytest.approx(0.7)
@@ -185,12 +187,13 @@ def test_cost_matrix_rows_match_single_solves_bit_for_bit():
         costs[rng.random(k) < 0.3] = 0.0  # zero rows: phase 1's vertex as is
         flags = rng.random(k) < 0.5
         many = _solve(a, row_lower, row_upper, lo, hi, costs, maximize=flags)
-        assert len(many) == k
-        for row, up, got in zip(costs, flags, many):
+        assert many.status == simplex.OPTIMAL
+        assert many.x.shape == costs.shape and many.objective.shape == (k,)
+        for row, up, x, objective in zip(costs, flags, many.x, many.objective):
             one = _solve_one(a, row_lower, row_upper, lo, hi, row, maximize=bool(up))
-            assert got.status == one.status == simplex.OPTIMAL
-            np.testing.assert_array_equal(got.x, one.x)
-            assert got.objective == one.objective
+            assert one.status == simplex.OPTIMAL
+            np.testing.assert_array_equal(x, one.x)
+            assert objective == one.objective
 
 
 def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
@@ -200,13 +203,12 @@ def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
         a, row_lower, row_upper, [0.0], [1.0], [[1.0], [-1.0], [0.0]],
         maximize=[True, False, True],
     )
-    assert len(many) == 3
-    for res in many:
-        assert res.status == simplex.INFEASIBLE
-        assert res.x is None and res.objective is None
-        assert res.infeasibility == single.infeasibility
+    assert many.status == simplex.INFEASIBLE
+    assert many.x is None and many.objective is None
+    assert many.infeasibility == single.infeasibility
     crossed = _solve([[1.0]], [-INF], [1.0], [0.7], [0.3], [[1.0], [2.0]], maximize=[True, False])
-    assert [res.infeasibility for res in crossed] == [pytest.approx(0.4)] * 2
+    assert crossed.status == simplex.INFEASIBLE
+    assert crossed.infeasibility == pytest.approx(0.4)
 
 
 def test_cost_matrix_shape_errors():
