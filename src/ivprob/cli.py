@@ -43,6 +43,16 @@ def _optional_name_list(text: str) -> list[str]:
     return _name_list(text) if text.strip() else []
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_distribution(path: str) -> IntervalDistribution:
     doc = load_document(path)
     if isinstance(doc, Database):
@@ -222,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--enumerate",
-        type=int,
+        type=_positive_int,
         metavar="MAX_SUBSETS",
         help="rank all covering schemes with at most this many subsets",
     )

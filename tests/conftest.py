@@ -20,8 +20,11 @@ from ivprob import (
     Space,
     Variable,
     optimize,
+    simplex,
 )
 from ivprob.polytope import OPTIMAL
+
+from oracles import three_solve_iterate
 
 
 def _binary(name: str, prefix: str) -> Variable:
@@ -176,3 +179,39 @@ def optimize_one(cs, objective, direction):
     if res.status != OPTIMAL:
         return res
     return SimplexResult(res.status, res.x[0], res.objective[0], res.infeasibility)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Every ``simplex._iterate`` run of the test, as ``(start, end)`` copies.
+
+    ``start`` holds the arguments that ``oracles.three_solve_iterate`` takes
+    (``ax, lo_x, hi_x, cost, basis, at_upper``) as the run received them;
+    ``end`` holds the ``basis, at_upper, x`` it returned.
+    """
+    runs = []
+    iterate = simplex._iterate
+
+    def recording(ax, lo_x, hi_x, cost, basis, at_upper, binv):
+        start = tuple(v.copy() for v in (ax, lo_x, hi_x, cost, basis, at_upper))
+        end = iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv)
+        runs.append((start, tuple(v.copy() for v in end)))
+        return end
+
+    monkeypatch.setattr(simplex, "_iterate", recording)
+    return runs
+
+
+def assert_runs_follow_three_solve_kernel(runs):
+    """Each run ends where the reference kernel, started from its state, ends.
+
+    The basis and bound flags must match exactly, so every pivot chose the
+    same entering column, leaving row and bound flip; the point may differ by
+    rounding only.
+    """
+    assert runs
+    for start, (basis, at_upper, x) in runs:
+        ref_basis, ref_upper, ref_x = three_solve_iterate(*start)
+        np.testing.assert_array_equal(basis, ref_basis)
+        np.testing.assert_array_equal(at_upper, ref_upper)
+        np.testing.assert_allclose(x, ref_x, atol=1e-12, rtol=0.0)

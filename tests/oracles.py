@@ -2,7 +2,9 @@
 
 Everything here recomputes results by direct enumeration, gridding, or plain
 formula loops — deliberately avoiding the library's LP/vectorized code paths —
-so tests can compare the two independently.
+so tests can compare the two independently.  The one LP code here is a
+reference simplex kernel that solves with the basis afresh at every pivot;
+the solver's kept-inverse kernel must follow it pivot for pivot.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from ivprob import Database, IntervalDistribution, RealDistribution, Scheme, Space, Variable
+from ivprob.errors import SolverError
+from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL
 
 FEAS_TOL = 1e-9
 
@@ -210,6 +214,78 @@ def transfer_ascent_max_entropy(lower, upper, step: float = 1e-3) -> np.ndarray:
         if gained < 1e-12:
             break
     return p
+
+
+# ---------------------------------------------------------------------------
+# simplex reference kernel
+
+
+def three_solve_iterate(ax, lo_x, hi_x, cost, basis, at_upper):
+    """The simplex pivot loop that solves with the basis three times per pivot.
+
+    The same loop as ``simplex._iterate`` (Bland's rule, the same ratio test
+    and ties), but with no kept inverse: every pivot solves ``B xb = -N xn``,
+    ``B^T y = c_B`` and ``B w = a_e`` from the basis columns with
+    ``np.linalg.solve``, so no rounding carries from one pivot to the next.
+    Updates ``basis`` and ``at_upper`` in place and returns them with the
+    final point.
+    """
+    m, n_tot = ax.shape
+    fixed = lo_x == hi_x
+    max_iter = 200 * (n_tot + m) + 1000
+    for _ in range(max_iter):
+        x = np.where(at_upper, hi_x, lo_x)
+        x[basis] = 0.0
+        if not np.all(np.isfinite(x)):
+            raise SolverError("nonbasic variable resting at an infinite bound")
+        bmat = ax[:, basis]
+        try:
+            xb = np.linalg.solve(bmat, -(ax @ x))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular basis: {exc}") from exc
+        x[basis] = xb
+
+        y = np.linalg.solve(bmat.T, cost[basis])
+        red = cost - y @ ax
+        red[basis] = 0.0  # basic columns never enter
+        can_enter = ~fixed & (
+            (~at_upper & (red > FEASIBILITY_TOL)) | (at_upper & (red < -FEASIBILITY_TOL))
+        )
+        if not can_enter.any():
+            return basis, at_upper, x
+
+        e = int(np.argmax(can_enter))  # Bland: smallest eligible index
+        delta = -1.0 if at_upper[e] else 1.0
+        w = np.linalg.solve(bmat, ax[:, e])
+        step = delta * w  # basic values move by -t * step
+
+        # Ratio test, including the entering variable's own bound span.
+        best_t = hi_x[e] - lo_x[e]
+        best_col = e
+        best_row = -1
+        for i in range(m):
+            si = step[i]
+            if si > PIVOT_TOL:
+                t = (xb[i] - lo_x[basis[i]]) / si
+            elif si < -PIVOT_TOL:
+                t = (xb[i] - hi_x[basis[i]]) / si
+            else:
+                continue
+            if t < 0.0:
+                t = 0.0  # degenerate basic value slightly past its bound
+            if t < best_t - 1e-12 or (t < best_t + 1e-12 and basis[i] < best_col):
+                best_t, best_col, best_row = t, int(basis[i]), i
+
+        if not np.isfinite(best_t):
+            raise SolverError("unbounded direction in a box-bounded program")
+
+        if best_row < 0:
+            at_upper[e] = not at_upper[e]  # bound flip, basis unchanged
+        else:
+            leaving = basis[best_row]
+            basis[best_row] = e
+            at_upper[leaving] = step[best_row] < 0.0  # hit which of its bounds
+    raise SolverError(f"no convergence within {max_iter} pivots")
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,16 @@ def test_rank_requires_scheme_source(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_rank_enumerate_count_must_be_positive(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "rank", FIXTURES / "abc_i.json", "--enumerate", count)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ivprob rank")
+    assert err.endswith(f"argument --enumerate: expected a positive integer, got {count!r}\n")
+
+
 # ---------------------------------------------------------------- formats ---
 
 

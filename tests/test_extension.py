@@ -29,7 +29,11 @@ from ivprob import (
 from ivprob.model import SUM_TOLERANCE
 from ivprob.polytope import FEASIBILITY_TOL
 
-from conftest import assert_intervals_close, optimize_one
+from conftest import (
+    assert_intervals_close,
+    assert_runs_follow_three_solve_kernel,
+    optimize_one,
+)
 from oracles import (
     grid_linear_range,
     random_consistent_database,
@@ -38,6 +42,7 @@ from oracles import (
     random_real,
     random_space,
     refine_scheme,
+    three_solve_iterate,
 )
 
 
@@ -461,6 +466,46 @@ def test_extension_star_matches_highs_on_chains():
             lower, upper = _highs_envelope(db, shape)
             np.testing.assert_allclose(env.lower, lower, atol=1e-7, rtol=0.0)
             np.testing.assert_allclose(env.upper, upper, atol=1e-7, rtol=0.0)
+
+
+def test_kept_inverse_follows_the_three_solve_pivot_path_on_chains(kernel_runs):
+    rng = np.random.default_rng(23)
+    for shape in ((3, 3), (2, 3, 4), (4, 4, 3)):
+        for kind in ("interval", "real", "mixed", "degenerate"):
+            extension_star(_chain_database(rng, shape, kind))
+    assert_runs_follow_three_solve_kernel(kernel_runs)
+
+
+def test_refactorized_inverse_keeps_witnesses_exact(monkeypatch):
+    from ivprob import simplex
+
+    db = _chain_database(np.random.default_rng(5), (6, 6, 6), "real")
+    inversions, witnesses = [], []
+    invert, solve = simplex._invert, simplex.solve
+
+    def counting_invert(*args):
+        inversions.append(None)
+        return invert(*args)
+
+    def keeping_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        witnesses.append(res.x.copy())
+        return res
+
+    monkeypatch.setattr(simplex, "_invert", counting_invert)
+    monkeypatch.setattr(simplex, "solve", keeping_solve)
+    env = extension_star(db)
+    # One inverse starts phase 1 and one starts every phase 2; any other is a
+    # refactorization, so some run changed its basis _REFACTOR_INTERVAL times.
+    assert len(inversions) > 2
+    assert constraints_from_database(db).max_residual(witnesses[0]) <= 1e-9
+
+    def three_solve(ax, lo_x, hi_x, cost, basis, at_upper, binv):
+        return three_solve_iterate(ax, lo_x, hi_x, cost, basis, at_upper)
+
+    monkeypatch.setattr(simplex, "_iterate", three_solve)
+    reference = extension_star(db)
+    assert_intervals_close(env, reference, atol=1e-12)
 
 
 def test_ivprob_does_not_import_scipy():

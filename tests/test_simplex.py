@@ -7,6 +7,8 @@ import pytest
 
 from ivprob import simplex
 
+from conftest import assert_runs_follow_three_solve_kernel
+
 
 INF = np.inf
 
@@ -223,3 +225,18 @@ def test_cost_matrix_shape_errors():
         _solve(a, rl, ru, lo, hi, [[1.0, 0.0]], maximize=True)
     with pytest.raises(ValueError):
         _solve(a, rl, ru, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
+
+
+# ------------------------------------------------- the kept basis inverse ---
+
+
+def test_kept_inverse_follows_the_three_solve_pivot_path(kernel_runs):
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        a, row_lower, row_upper, lo, hi, _ = _random_system(rng)
+        k = int(rng.integers(1, 7))
+        costs = rng.normal(size=(k, a.shape[1]))
+        flags = rng.random(k) < 0.5
+        res = _solve(a, row_lower, row_upper, lo, hi, costs, maximize=flags)
+        assert res.status == simplex.OPTIMAL
+    assert_runs_follow_three_solve_kernel(kernel_runs)
