@@ -12,8 +12,10 @@ the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
 Huete & Moral, IJUFKS 1994).  A database envelope minimizes and maximizes
 every joint cell over the database polytope in one simplex call: one phase 1
-for the polytope, then one phase 2 per endpoint, each attained by its LP
-witness.
+for the polytope, then one phase 2 per endpoint still open.  An endpoint is
+open until some witness reaches its valid bound: 0 for a min, and for a max
+the least upper bound of the rows that hold the cell.  Every endpoint is
+attained by its LP witness or by the earlier witness that reached its bound.
 """
 
 from __future__ import annotations
@@ -71,9 +73,16 @@ def extension_star(db: Database) -> IntervalDistribution:
     cs = constraints_from_database(db)
     n = cs.space.cell_count
     # One simplex call for all 2n unit objectives: its shared phase 1 is the
-    # feasibility probe, so an empty system fails with one clear error.
+    # feasibility probe, so an empty system fails with one clear error.  Every
+    # min is at least 0, and every max at most the least upper bound of the
+    # rows holding the cell (the normalization row caps it at 1); a witness
+    # that reaches such a bound proves that endpoint without its own LP.
     cells = np.eye(n)
-    result = optimize(cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n)
+    ub = np.where(cs.a > 0.0, cs.row_upper[:, None], np.inf).min(axis=0)
+    result = optimize(
+        cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n,
+        bounds=np.concatenate([np.zeros(n), ub]),
+    )
     if result.status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",

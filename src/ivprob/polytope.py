@@ -10,10 +10,11 @@ the cell's bounds as the row's range, plus the normalization row.  Every
 system lies in the unit box ``0 <= p <= 1``, and :func:`optimize` passes its
 arrays with those column bounds straight to the bounded-variable simplex to
 compute exact min/max linear objectives; this is the LP path behind database
-envelopes.  :func:`optimize` takes a matrix of objectives and makes one
-simplex call for all of them, so phase 1 runs once per system, and it returns
-that call's one :class:`~ivprob.simplex.SimplexResult` after one residual
-check of the whole witness matrix.
+envelopes.  :func:`optimize` takes a matrix of objectives, and optionally a
+valid bound on each one's optimum, and makes one simplex call for all of
+them, so phase 1 runs once per system; it returns that call's one
+:class:`~ivprob.simplex.SimplexResult` after one residual check of the whole
+witness matrix, which covers the rows that a reused witness proved.
 :func:`constraints_from_box` builds the system of an interval box
 ``{p : lower <= p <= upper, sum(p) = 1}`` as that of a one-table database
 over the box's own space.  Box envelopes have a closed form (see
@@ -137,7 +138,10 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
 
 
 def optimize(
-    cs: ConstraintSystem, objectives: np.ndarray, directions: Sequence[str]
+    cs: ConstraintSystem,
+    objectives: np.ndarray,
+    directions: Sequence[str],
+    bounds: np.ndarray | None = None,
 ) -> simplex.SimplexResult:
     """Exact min or max of every row of the ``k x n`` matrix ``objectives`` over the system.
 
@@ -148,6 +152,10 @@ def optimize(
     feasible region is inside the unit box, so an unbounded program, or a
     witness off the system by more than ``FEASIBILITY_TOL``, indicates a
     solver bug and raises :class:`SolverError`.
+
+    ``bounds``, if given, holds a valid bound on each row's optimum (NaN where
+    none is known); a row whose bound an earlier witness reaches takes that
+    witness without an LP of its own (see :func:`ivprob.simplex.solve`).
     """
     n = cs.space.cell_count
     objs = np.asarray(objectives, dtype=np.float64)
@@ -164,7 +172,7 @@ def optimize(
 
     res = simplex.solve(
         cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs,
-        maximize=[d == "max" for d in directions],
+        maximize=[d == "max" for d in directions], bounds=bounds,
     )
     if res.status != OPTIMAL:
         return res
@@ -177,7 +185,11 @@ def optimize(
 
 
 def is_consistent(db: Database) -> bool:
-    """True iff some joint distribution satisfies every table of ``db``."""
+    """True iff some joint distribution satisfies every table of ``db``.
+
+    The zero objective's bound 0 is reached by any feasible point, so the
+    probe stops after phase 1.
+    """
     cs = constraints_from_database(db)
-    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), ["max"])
+    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), ["max"], bounds=[0.0])
     return probe.status == OPTIMAL

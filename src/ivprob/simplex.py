@@ -32,11 +32,19 @@ puts its logical in the basis; any other row fixes its logical at the violated
 bound and puts an artificial variable in the basis, whose value is the gap.
 Phase 1 does not depend on the objective, so it runs once per system, and
 every cost row's phase 2 starts from a copy of the phase-1 basis, its bound
-flags and its inverse, which is computed once.  Each row's witness is
-therefore bit-identical to a solve with that row alone, and an envelope sweep
-over one polytope pays for one feasibility search, not one per objective (the
+flags and its inverse, which is computed once.  An envelope sweep over one
+polytope thus pays for one feasibility search, not one per objective (the
 warm start for re-optimizing one polytope, Chvátal, *Linear Programming*,
 1983, ch. 8).  One call returns one :class:`SimplexResult` for all rows.
+
+A caller may pass a valid bound on each row's optimum.  Every witness, the
+phase-1 vertex first, is a feasible point, so a row whose bound a witness
+already reaches is optimal there and is not solved: that witness becomes its
+row of the result (witness reuse, as in flux variability analysis,
+Gudmundsson & Thiele, BMC Bioinformatics 11:489, 2010).  A row that is
+solved has a witness bit-identical to a solve with that row alone; a proved
+row's value is the earlier witness's, which can differ from its own LP's in
+the last bits.
 
 Vertices are reached exactly (up to float rounding of the input data), which
 downstream callers rely on for witness feasibility at tight tolerances.
@@ -82,6 +90,7 @@ def solve(
     hi: np.ndarray,
     costs: np.ndarray,
     maximize: Sequence[bool],
+    bounds: np.ndarray | None = None,
 ) -> SimplexResult:
     """Optimize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
 
@@ -91,6 +100,11 @@ def solve(
     system gives one infeasible result.  Crossed bounds, of a column or of a
     row, make the system infeasible with the largest crossing as its
     ``infeasibility``.
+
+    ``bounds[r]``, when given and not NaN, is a valid bound on row ``r``'s
+    optimum: no feasible point exceeds it (or, for a minimized row, falls
+    below it).  A row whose bound the phase-1 vertex or an earlier row's
+    witness already reaches is not solved; that point is its witness.
     """
     a = np.asarray(a, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
@@ -100,8 +114,14 @@ def solve(
         raise ValueError("at least one constraint row is required")
     if costs.ndim != 2 or costs.shape[1] != n:
         raise ValueError(f"costs must be a matrix with one coefficient per column ({n})")
-    if flags.shape != (len(costs),):
-        raise ValueError(f"expected one maximize flag per cost row ({len(costs)})")
+    k = len(costs)
+    if flags.shape != (k,):
+        raise ValueError(f"expected one maximize flag per cost row ({k})")
+    bounds = np.full(k, np.nan) if bounds is None else np.asarray(bounds, dtype=np.float64)
+    if bounds.shape != (k,):
+        raise ValueError(f"expected one bound per cost row ({k})")
+    sign = np.where(flags, 1.0, -1.0)
+    target = sign * bounds  # a row is proved once sign * value >= target
 
     # Extended problem: structural | one logical per row | artificials.
     lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
@@ -135,17 +155,36 @@ def solve(
     if infeas > FEASIBILITY_TOL:
         return SimplexResult(INFEASIBLE, None, None, infeas)
 
-    # Phase 2: pin artificials at zero and optimize each real objective from
-    # copies of the phase-1 basis, bound flags and basis inverse (_iterate
-    # overwrites them).
+    # A witness proves every open row whose bound its value reaches, in plain
+    # float comparison; a NaN bound is never reached.  Values are summed over
+    # the nonzeros of the cost matrix, so one check costs O(nonzeros), not a
+    # k x n product.
+    xs = np.empty((k, n))
+    todo = np.ones(k, dtype=bool)
+    rows, cols = np.nonzero(costs)
+    coefs = costs[rows, cols]
+
+    def prove(w):
+        reached = todo & (sign * np.bincount(rows, coefs * w[cols], minlength=k) >= target)
+        xs[reached] = w
+        todo[reached] = False
+
+    prove(x[:n])
+
+    # Phase 2: pin artificials at zero and optimize each open row from copies
+    # of the phase-1 basis, bound flags and basis inverse (_iterate overwrites
+    # them).
     hi_x[art0:] = 0.0
-    binv = _invert(ax, basis)
-    xs = np.empty((len(costs), n))
-    for r, (row, up) in enumerate(zip(costs, flags)):
+    binv = _invert(ax, basis) if todo.any() else None
+    for r in range(k):
+        if not todo[r]:
+            continue
         c2 = np.zeros(len(lo_x))
-        c2[:n] = row if up else -row
+        c2[:n] = sign[r] * costs[r]
         _, _, x = _iterate(ax, lo_x, hi_x, c2, basis.copy(), at_upper.copy(), binv.copy())
         xs[r] = x[:n]
+        todo[r] = False
+        prove(x[:n])
     return SimplexResult(OPTIMAL, xs, np.einsum("ij,ij->i", costs, xs), 0.0)
 
 
@@ -165,31 +204,43 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
     starting basis ``B = ax[:, basis]``; a basis change multiplies it by one
     eta matrix (divide the pivot row by the pivot ``w[r]``, subtract ``w[i]``
     times it from every other row ``i``), and after ``_REFACTOR_INTERVAL``
-    changes it is replaced by a fresh inverse of the current basis.
+    changes it is replaced by a fresh inverse of the current basis.  The
+    basic values are computed from the inverse only at the start and after
+    each refactorization; in between, a step of length ``t`` moves them by
+    ``-t * step``, sets the entering variable's value and rests the leaving
+    one exactly at the bound it hit.  ``sign`` is +1 for a nonbasic variable
+    at its lower bound, -1 at its upper bound and 0 for a basic or fixed
+    one, so a column may enter exactly when its reduced cost times ``sign``
+    exceeds ``FEASIBILITY_TOL``.  The basis's bounds are kept as lists for
+    the ratio test.
     """
     m, n_tot = ax.shape
-    fixed = lo_x == hi_x
     max_iter = 200 * (n_tot + m) + 1000
+    sign = np.where(at_upper, -1.0, 1.0)
+    sign[lo_x == hi_x] = 0.0
+    sign[basis] = 0.0
+    cols = basis.tolist()
+    lo_b = lo_x[basis].tolist()
+    hi_b = hi_x[basis].tolist()
     updates = 0
+    xb = None
     for _ in range(max_iter):
-        x = np.where(at_upper, hi_x, lo_x)
-        x[basis] = 0.0
-        if not np.all(np.isfinite(x)):
-            raise SolverError("nonbasic variable resting at an infinite bound")
-        xb = binv @ -(ax @ x)
-        x[basis] = xb
+        if xb is None:
+            x = np.where(at_upper, hi_x, lo_x)
+            x[basis] = 0.0
+            if not np.all(np.isfinite(x)):
+                raise SolverError("nonbasic variable resting at an infinite bound")
+            xb = binv @ -(ax @ x)
 
         y = cost[basis] @ binv
-        red = cost - y @ ax
-        red[basis] = 0.0  # basic columns never enter
-        can_enter = ~fixed & (
-            (~at_upper & (red > FEASIBILITY_TOL)) | (at_upper & (red < -FEASIBILITY_TOL))
-        )
-        if not can_enter.any():
+        can_enter = sign * (cost - y @ ax) > FEASIBILITY_TOL
+        e = int(np.argmax(can_enter))  # Bland: smallest eligible index
+        if not can_enter[e]:
+            x = np.where(at_upper, hi_x, lo_x)
+            x[basis] = xb
             return basis, at_upper, x
 
-        e = int(np.argmax(can_enter))  # Bland: smallest eligible index
-        delta = -1.0 if at_upper[e] else 1.0
+        delta = sign[e]
         w = binv @ ax[:, e]
         step = delta * w  # basic values move by -t * step
 
@@ -199,9 +250,8 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
         best_t = float(hi_x[e] - lo_x[e])
         best_col = e
         best_row = -1
-        rows = zip(step.tolist(), xb.tolist(), lo_x[basis].tolist(), hi_x[basis].tolist(),
-                   basis.tolist())
-        for i, (si, xi, li, ui, col) in enumerate(rows):
+        for i, (si, xi, li, ui, col) in enumerate(zip(step.tolist(), xb.tolist(), lo_b, hi_b,
+                                                      cols)):
             if si > PIVOT_TOL:
                 t = (xi - li) / si
             elif si < -PIVOT_TOL:
@@ -216,16 +266,25 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
         if not math.isfinite(best_t):
             raise SolverError("unbounded direction in a box-bounded program")
 
+        xb -= best_t * step
         if best_row < 0:
             at_upper[e] = not at_upper[e]  # bound flip, basis unchanged
+            sign[e] = -delta
             continue
-        leaving = basis[best_row]
-        basis[best_row] = e
-        at_upper[leaving] = step[best_row] < 0.0  # hit which of its bounds
+        leaving = cols[best_row]
+        up = bool(step[best_row] < 0.0)  # hit which of its bounds
+        at_upper[leaving] = up
+        sign[leaving] = 0.0 if lo_x[leaving] == hi_x[leaving] else (-1.0 if up else 1.0)
+        xb[best_row] = lo_x[e] + best_t if delta > 0.0 else hi_x[e] - best_t
+        basis[best_row] = cols[best_row] = e
+        lo_b[best_row] = float(lo_x[e])
+        hi_b[best_row] = float(hi_x[e])
+        sign[e] = 0.0
         updates += 1
         if updates == _REFACTOR_INTERVAL:
             binv = _invert(ax, basis)
             updates = 0
+            xb = None
         else:
             pivot = binv[best_row] / w[best_row]
             binv -= np.outer(w, pivot)

@@ -55,6 +55,27 @@ def factored_join(p_flat, shape, u_axes, w_axes, z_axes) -> np.ndarray:
     return np.broadcast_to(q, shape).ravel().copy()
 
 
+def chain_cell_bounds(tables) -> tuple[np.ndarray, np.ndarray]:
+    """Sharp joint cell bounds of a real chain database, by plain loops.
+
+    ``tables[k]`` is the real marginal of variables ``k`` and ``k + 1`` as a
+    2-D array, so the cliques are the tables and the separators are the
+    shared variables.  Each joint cell ``x`` lies in
+    ``[max(0, sum_C p_C(x_C) - sum_S p_S(x_S)), min_C p_C(x_C)]`` (Dobra &
+    Fienberg, PNAS 97:11885, 2000).  Separator marginals are row sums of the
+    following table.  Cells come back in row-major order.
+    """
+    tables = [np.asarray(t, dtype=float) for t in tables]
+    shape = [tables[0].shape[0]] + [t.shape[1] for t in tables]
+    lower, upper = [], []
+    for cell in itertools.product(*(range(s) for s in shape)):
+        cliques = [t[cell[k], cell[k + 1]] for k, t in enumerate(tables)]
+        separators = [sum(t[cell[k + 1], :]) for k, t in enumerate(tables[1:])]
+        lower.append(max(0.0, sum(cliques) - sum(separators)))
+        upper.append(min(cliques))
+    return np.array(lower), np.array(upper)
+
+
 # ---------------------------------------------------------------------------
 # grid oracles over the box-simplex set {p : lower <= p <= upper, sum(p) = 1}
 

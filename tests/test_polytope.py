@@ -437,6 +437,14 @@ def test_is_consistent_accepts_and_rejects(space_x, space_xy, db_d, db_i):
     assert not is_consistent(Database((t1, t2)))
 
 
+def test_is_consistent_stops_after_phase_one(db_d, db_i, kernel_runs):
+    # The zero objective's bound 0 is reached by the phase-1 vertex itself.
+    for db in (db_d, db_i):
+        kernel_runs.clear()
+        assert is_consistent(db)
+        assert len(kernel_runs) == 1
+
+
 def test_infeasibility_magnitude_reported(space_x):
     t1 = IntervalDistribution(space_x, np.array([0.7, 0.3]), np.array([0.7, 0.3]))
     t2 = IntervalDistribution(space_x, np.array([0.2, 0.8]), np.array([0.2, 0.8]))

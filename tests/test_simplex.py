@@ -227,6 +227,26 @@ def test_cost_matrix_shape_errors():
         _solve(a, rl, ru, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
 
 
+def test_bounds_let_earlier_witnesses_prove_rows(kernel_runs):
+    # Over x1 + x2 = 1 phase 1 ends at the vertex (1, 0).  It proves the max
+    # of x1 (bound 1); row 0's witness (0, 1) proves row 1 and the min of x1
+    # (bound 0).  Row 2 has no bound, so it is solved like row 0.
+    costs = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+    res = simplex.solve(
+        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]), np.zeros(2), np.ones(2),
+        np.array(costs), [True, True, True, True, False], bounds=[1.0, 1.0, np.nan, 1.0, 0.0],
+    )
+    assert res.status == simplex.OPTIMAL
+    assert len(kernel_runs) == 3  # phase 1, then rows 0 and 2
+    np.testing.assert_array_equal(res.x, [[0, 1], [0, 1], [0, 1], [1, 0], [0, 1]])
+    np.testing.assert_array_equal(res.objective, [1.0, 1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="bound"):
+        simplex.solve(
+            np.array([[1.0]]), np.array([-INF]), np.array([1.0]), np.zeros(1), np.ones(1),
+            np.array([[1.0]]), [True], bounds=[1.0, 1.0],
+        )
+
+
 # ------------------------------------------------- the kept basis inverse ---
 
 
