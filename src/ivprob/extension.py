@@ -74,14 +74,13 @@ def extension_star(db: Database) -> IntervalDistribution:
     n = cs.space.cell_count
     # One simplex call for all 2n unit objectives: its shared phase 1 is the
     # feasibility probe, so an empty system fails with one clear error.  Every
-    # min is at least 0, and every max at most the least upper bound of the
-    # rows holding the cell (the normalization row caps it at 1); a witness
-    # that reaches such a bound proves that endpoint without its own LP.
+    # min is at least 0, and every max at most the system's cap on the cell;
+    # a witness that reaches such a bound proves that endpoint without its
+    # own LP.
     cells = np.eye(n)
-    ub = np.where(cs.a > 0.0, cs.row_upper[:, None], np.inf).min(axis=0)
     result = optimize(
         cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n,
-        bounds=np.concatenate([np.zeros(n), ub]),
+        bounds=np.concatenate([np.zeros(n), cs.cell_upper()]),
     )
     if result.status != OPTIMAL:
         raise InfeasibleError(

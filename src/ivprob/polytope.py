@@ -97,6 +97,23 @@ class ConstraintSystem:
         bounds = max(-p.min(initial=0.0), p.max(initial=1.0) - 1.0)
         return float(max(np.max(rows), bounds, 0.0))
 
+    def cell_upper(self) -> np.ndarray:
+        """A valid upper bound on each cell over the system.
+
+        A row whose coefficients are all 0 or 1, such as a fiber indicator,
+        caps each of its cells at the row's upper bound, since no cell is
+        negative; the unit box caps every cell at 1.  The bound of cell ``j``
+        is the least of these.  Only the nonzeros are read, so no ``m x n``
+        temporary is built.
+        """
+        rows, cols = np.nonzero(self.a)
+        indicator = np.ones(len(self.a), dtype=bool)
+        indicator[rows[self.a[rows, cols] != 1.0]] = False
+        keep = indicator[rows]
+        upper = np.ones(self.space.cell_count)
+        np.minimum.at(upper, cols[keep], self.row_upper[rows[keep]])
+        return upper
+
 
 def constraints_from_database(db: Database) -> ConstraintSystem:
     """The joint-cell system implied by a database's marginal tables.

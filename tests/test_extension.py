@@ -383,40 +383,46 @@ def _sweep_databases(rng, count):
         yield Database(tuple(tables), space=ambient), Database(tuple(tables + clash), space=ambient)
 
 
-def _reuse_databases(rng):
-    """The sweep's databases, then chains of every table kind on up to 27 cells."""
-    yield from _sweep_databases(rng, 40)
+def _reuse_chains(rng):
+    """Chains of every table kind on up to 27 cells, where witness reuse proves rows."""
     for shape in ((3, 3), (2, 3, 4), (3, 3, 3)):
         for kind in ("interval", "real", "mixed", "degenerate"):
-            yield _chain_database(rng, shape, kind), None
+            yield _chain_database(rng, shape, kind)
+
+
+def _envelope_and_solved(db, kernel_runs):
+    """``extension_star(db)`` and, per endpoint, whether it ran its own phase 2.
+
+    The solved mask is indexed by the sign of the unit cost: row 1 for a max,
+    row 0 for a min (solved as the max of its negation).
+    """
+    kernel_runs.clear()
+    env = extension_star(db)
+    n = env.space.cell_count
+    solved = np.zeros((2, n), dtype=bool)
+    for (_, _, _, cost, _, _), _ in kernel_runs[1:]:
+        j = int(np.flatnonzero(cost[:n])[0])
+        solved[int(cost[j] > 0.0), j] = True
+    assert solved.sum() == len(kernel_runs) - 1 < 2 * n  # witness reuse proved the rest
+    return env, solved
+
+
+def _single_lp_envelope(db):
+    """Per-cell min and max by single-objective calls, which carry no bound."""
+    cs = constraints_from_database(db)
+    cells = np.eye(cs.space.cell_count)
+    lower = np.clip([optimize_one(cs, e, "min").objective for e in cells], 0.0, 1.0)
+    upper = np.clip([optimize_one(cs, e, "max").objective for e in cells], 0.0, 1.0)
+    return np.minimum(lower, upper), upper
 
 
 def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
     rng = np.random.default_rng(401)
-    for db, inconsistent in _reuse_databases(rng):
-        kernel_runs.clear()
-        env = extension_star(db)
-        n = env.space.cell_count
-        # The endpoints that ran their own phase 2, by the sign of their unit
-        # cost: +1 for a max, -1 for a min (solved as the max of its negation).
-        solved = np.zeros((2, n), dtype=bool)
-        for (_, _, _, cost, _, _), _ in kernel_runs[1:]:
-            j = int(np.flatnonzero(cost[:n])[0])
-            solved[int(cost[j] > 0.0), j] = True
-        assert solved.sum() == len(kernel_runs) - 1 < 2 * n  # witness reuse proved the rest
-        # Single-objective calls carry no bound, so each solves its own LP.
-        cs = constraints_from_database(db)
-        cells = np.eye(n)
-        lower = np.clip([optimize_one(cs, e, "min").objective for e in cells], 0.0, 1.0)
-        upper = np.clip([optimize_one(cs, e, "max").objective for e in cells], 0.0, 1.0)
-        for got, want, own in ((env.lower, np.minimum(lower, upper), solved[0]),
-                               (env.upper, upper, solved[1])):
-            np.testing.assert_array_equal(got[own], want[own])
-            # A proved endpoint is an earlier witness's value, not its own
-            # LP's; the two agree up to rounding.
-            np.testing.assert_allclose(got[~own], want[~own], atol=1e-15, rtol=0.0)
-        if inconsistent is None:
-            continue
+    for db, inconsistent in _sweep_databases(rng, 40):
+        env, _ = _envelope_and_solved(db, kernel_runs)
+        lower, upper = _single_lp_envelope(db)
+        np.testing.assert_array_equal(env.lower, lower)
+        np.testing.assert_array_equal(env.upper, upper)
 
         cs = constraints_from_database(inconsistent)
         probe = optimize_one(cs, np.zeros(cs.space.cell_count), "max")
@@ -424,6 +430,14 @@ def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
             extension_star(inconsistent)
         assert probe.infeasibility > 0.0
         assert exc.value.infeasibility == probe.infeasibility
+
+    for db in _reuse_chains(rng):
+        env, solved = _envelope_and_solved(db, kernel_runs)
+        for got, want, own in zip((env.lower, env.upper), _single_lp_envelope(db), solved):
+            np.testing.assert_array_equal(got[own], want[own])
+            # A proved endpoint is an earlier witness's value, not its own
+            # LP's; on these chains the two can differ by 1 ulp.
+            np.testing.assert_allclose(got[~own], want[~own], atol=1e-15, rtol=0.0)
 
 
 def test_extension_star_runs_phase_one_once(db_i, kernel_runs):

@@ -248,6 +248,37 @@ def test_database_rows_follow_tables_and_cells_in_order():
         np.testing.assert_array_equal(cs.row_upper, row_upper)
 
 
+def test_cell_upper_is_the_least_upper_bound_of_indicator_rows(space_x):
+    rng = np.random.default_rng(307)
+    for _ in range(40):
+        space = random_space(rng, max_cells=8)
+        names = list(space.names)
+        tables = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, len(names) + 1))
+            subset = tuple(names[k] for k in rng.permutation(len(names))[:size])
+            tables.append(_mixed_table(rng, space, subset))
+        cs = constraints_from_database(Database(tuple(tables), space=space))
+        # Cell j lies in fiber pm[j] of each table, whose row caps it.
+        want = np.ones(space.cell_count)
+        for table in tables:
+            want = np.minimum(want, table.upper[space.projection_map(table.space.names)])
+        np.testing.assert_array_equal(cs.cell_upper(), want)
+        # The tables come from different joints, so some systems are empty.
+        res = optimize(cs, np.eye(space.cell_count), ["max"] * space.cell_count)
+        if res.status == OPTIMAL:
+            assert np.all(res.objective <= want)
+
+    # Only rows of 0/1 coefficients cap their cells.
+    np.testing.assert_array_equal(
+        _with_normalization(space_x, [0.0, 1.0], 0.0, 0.3).cell_upper(), [1.0, 0.3]
+    )
+    for coef in ([0.5, 1.0], [2.0, 0.0], [1.0, -1.0]):
+        np.testing.assert_array_equal(
+            _with_normalization(space_x, coef, 0.0, 0.3).cell_upper(), [1.0, 1.0]
+        )
+
+
 def test_optimize_marginal_cell_over_degenerate_database(db_d):
     cs = constraints_from_database(db_d)
     obj = np.array([1.0, 0.0, 0.0, 0.0])  # p(x1, y1)
