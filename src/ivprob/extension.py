@@ -10,12 +10,13 @@ the envelope of the projected database — and measures what the scheme forgot.
 Every endpoint returned by these functions is attained by a feasible joint;
 the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
-Huete & Moral, IJUFKS 1994).  A database envelope minimizes and maximizes
-every joint cell over the database polytope in one simplex call: one phase 1
-for the polytope, then one phase 2 per endpoint still open.  An endpoint is
-open until some witness reaches its valid bound: 0 for a min, and for a max
-the least upper bound of the rows that hold the cell.  Every endpoint is
-attained by its LP witness or by the earlier witness that reached its bound.
+Huete & Moral, IJUFKS 1994).  A database envelope maximizes ``-p_j`` and
+``p_j`` for every joint cell ``j`` over the database polytope in one simplex
+call: one phase 1 for the polytope, then one phase 2 per endpoint still open.
+An endpoint is open until some witness reaches its valid bound: 0 for
+``-p_j``, and for ``p_j`` the least upper bound of the rows that hold the
+cell.  Every endpoint is attained by its LP witness or by the earlier witness
+that reached its bound.
 """
 
 from __future__ import annotations
@@ -72,22 +73,22 @@ def extension_star(db: Database) -> IntervalDistribution:
     """
     cs = constraints_from_database(db)
     n = cs.space.cell_count
-    # One simplex call for all 2n unit objectives: its shared phase 1 is the
-    # feasibility probe, so an empty system fails with one clear error.  Every
-    # min is at least 0, and every max at most the system's cap on the cell;
-    # a witness that reaches such a bound proves that endpoint without its
-    # own LP.
-    cells = np.eye(n)
-    result = optimize(
-        cs, np.vstack([cells, cells]), ["min"] * n + ["max"] * n,
-        bounds=np.concatenate([np.zeros(n), cs.cell_upper()]),
-    )
+    # One simplex call maximizes the 2n rows of [-I; I]: its shared phase 1 is
+    # the feasibility probe, so an empty system fails with one clear error.
+    # No -p_j exceeds 0, and no p_j the system's cap on the cell; a witness
+    # that reaches such a bound proves that endpoint without its own LP.
+    objectives = np.zeros((2 * n, n))
+    np.fill_diagonal(objectives[:n], -1.0)
+    np.fill_diagonal(objectives[n:], 1.0)
+    result = optimize(cs, objectives, bounds=np.concatenate([np.zeros(n), cs.cell_upper()]))
     if result.status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",
             infeasibility=result.infeasibility,
         )
-    return _scrubbed(cs.space, result.objective[:n], result.objective[n:])
+    # 0.0 - v, not -v: a zero lower endpoint stays +0.0 rather than -0.0.
+    lower = 0.0 - result.objective[:n]
+    return _scrubbed(cs.space, lower, result.objective[n:])
 
 
 def joint_intervals(db: Database) -> IntervalDistribution:

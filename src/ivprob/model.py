@@ -290,17 +290,10 @@ class RealDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.float64).copy()
-        if arr.shape != (self.space.cell_count,):
-            raise ValueError(
-                f"p must have one entry per cell ({self.space.cell_count}), "
-                f"got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("p contains non-finite entries")
+        arr = _as_cell_array(self.space, self.p, "p")
         if np.any(arr < -1e-12):
             raise ValueError(f"p contains negative entries (min {arr.min()})")
-        arr[arr < 0.0] = 0.0  # scrub -1e-17 style solver fuzz
+        arr = np.where(arr < 0.0, 0.0, arr)  # scrub -1e-17 style solver fuzz; -0.0 is kept
         total = float(arr.sum())
         if compare_sum(total) != 0:
             raise ValueError(f"p sums to {total}, expected 1 within {SUM_TOLERANCE}")

@@ -9,10 +9,11 @@ its dense read-only arrays hold one fiber-indicator row per table cell, with
 the cell's bounds as the row's range, plus the normalization row.  Every
 system lies in the unit box ``0 <= p <= 1``, and :func:`optimize` passes its
 arrays with those column bounds straight to the bounded-variable simplex to
-compute exact min/max linear objectives; this is the LP path behind database
-envelopes.  :func:`optimize` takes a matrix of objectives, and optionally a
-valid bound on each one's optimum, and makes one simplex call for all of
-them, so phase 1 runs once per system; it returns that call's one
+compute exact maxima of linear objectives (a minimum is the maximum of the
+negated objective); this is the LP path behind database envelopes.
+:func:`optimize` takes a matrix of objectives, and optionally an upper bound
+on each one's maximum, and makes one simplex call for all of them, so phase 1
+runs once per system; it returns that call's one
 :class:`~ivprob.simplex.SimplexResult` after one residual check of the whole
 witness matrix, which covers the rows that a reused witness proved.
 :func:`constraints_from_box` builds the system of an interval box
@@ -23,7 +24,6 @@ over the box's own space.  Box envelopes have a closed form (see
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,39 +157,27 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
 def optimize(
     cs: ConstraintSystem,
     objectives: np.ndarray,
-    directions: Sequence[str],
     bounds: np.ndarray | None = None,
 ) -> simplex.SimplexResult:
-    """Exact min or max of every row of the ``k x n`` matrix ``objectives`` over the system.
+    """Exact maximum of every row of the ``k x n`` matrix ``objectives`` over the system.
 
-    Row ``r`` is minimized or maximized as ``directions[r]`` says.  One
-    simplex call solves all rows, and its single phase 1 decides feasibility
-    for all of them, so the result is either infeasible as a whole or holds
-    one checked witness per row in ``x`` and its value in ``objective``.  The
-    feasible region is inside the unit box, so an unbounded program, or a
-    witness off the system by more than ``FEASIBILITY_TOL``, indicates a
-    solver bug and raises :class:`SolverError`.
+    A minimum is the maximum of the negated row.  One simplex call solves all
+    rows, and its single phase 1 decides feasibility for all of them, so the
+    result is either infeasible as a whole or holds one checked witness per
+    row in ``x`` and its value in ``objective``.  The feasible region is
+    inside the unit box, so an unbounded program, or a witness off the system
+    by more than ``FEASIBILITY_TOL``, indicates a solver bug and raises
+    :class:`SolverError`.  :func:`ivprob.simplex.solve` checks the shape and
+    finiteness of ``objectives``.
 
-    ``bounds``, if given, holds a valid bound on each row's optimum (NaN where
-    none is known); a row whose bound an earlier witness reaches takes that
-    witness without an LP of its own (see :func:`ivprob.simplex.solve`).
+    ``bounds``, if given, holds an upper bound on each row's maximum (NaN
+    where none is known); a row whose bound an earlier witness reaches takes
+    that witness without an LP of its own (see :func:`ivprob.simplex.solve`).
     """
     n = cs.space.cell_count
     objs = np.asarray(objectives, dtype=np.float64)
-    directions = tuple(directions)
-    if objs.ndim != 2 or objs.shape[1] != n:
-        raise ValueError(f"objectives must be a matrix with one coefficient per cell ({n})")
-    if not np.all(np.isfinite(objs)):
-        raise ValueError("objective coefficients must be finite")
-    if len(directions) != len(objs):
-        raise ValueError(f"expected one direction per objective row ({len(objs)})")
-    for d in directions:
-        if d not in ("min", "max"):
-            raise ValueError(f"direction must be 'min' or 'max', got {d!r}")
-
     res = simplex.solve(
-        cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs,
-        maximize=[d == "max" for d in directions], bounds=bounds,
+        cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs, bounds=bounds
     )
     if res.status != OPTIMAL:
         return res
@@ -208,5 +196,5 @@ def is_consistent(db: Database) -> bool:
     probe stops after phase 1.
     """
     cs = constraints_from_database(db)
-    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), ["max"], bounds=[0.0])
+    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), bounds=[0.0])
     return probe.status == OPTIMAL

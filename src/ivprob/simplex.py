@@ -1,9 +1,8 @@
 """Bounded-variable primal simplex for small dense linear programs.
 
-Solves, for every row ``c`` of a ``k x n`` cost matrix, each with its own
-direction,
+Solves, for every row ``c`` of a ``k x n`` cost matrix,
 
-    maximize  c . x    (or minimize)
+    maximize  c . x
     s.t.      row_lower <= A x <= row_upper    (ranged rows; equal bounds make
                                                 an equality row, and one side
                                                 may be infinite)
@@ -36,8 +35,10 @@ flags and its inverse, which is computed once.  An envelope sweep over one
 polytope thus pays for one feasibility search, not one per objective (the
 warm start for re-optimizing one polytope, Chvátal, *Linear Programming*,
 1983, ch. 8).  One call returns one :class:`SimplexResult` for all rows.
+A minimum is the maximum of the negated row (Chvátal 1983), so a caller that
+wants one passes ``-c`` and negates the value it gets back.
 
-A caller may pass a valid bound on each row's optimum.  Every witness, the
+A caller may pass an upper bound on each row's maximum.  Every witness, the
 phase-1 vertex first, is a feasible point, so a row whose bound a witness
 already reaches is optimal there and is not solved: that witness becomes its
 row of the result (witness reuse, as in flux variability analysis,
@@ -53,7 +54,6 @@ downstream callers rely on for witness feasibility at tight tolerances.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,39 +89,34 @@ def solve(
     lo: np.ndarray,
     hi: np.ndarray,
     costs: np.ndarray,
-    maximize: Sequence[bool],
     bounds: np.ndarray | None = None,
 ) -> SimplexResult:
-    """Optimize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
+    """Maximize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
 
-    Row ``r`` is maximized when ``maximize[r]`` is true and minimized
-    otherwise.  The one result holds row ``r``'s witness in ``x[r]`` and its
-    value in ``objective[r]``; all rows share one phase 1, so an infeasible
-    system gives one infeasible result.  Crossed bounds, of a column or of a
-    row, make the system infeasible with the largest crossing as its
+    The one result holds row ``r``'s witness in ``x[r]`` and its value in
+    ``objective[r]``; all rows share one phase 1, so an infeasible system
+    gives one infeasible result.  Crossed bounds, of a column or of a row,
+    make the system infeasible with the largest crossing as its
     ``infeasibility``.
 
-    ``bounds[r]``, when given and not NaN, is a valid bound on row ``r``'s
-    optimum: no feasible point exceeds it (or, for a minimized row, falls
-    below it).  A row whose bound the phase-1 vertex or an earlier row's
-    witness already reaches is not solved; that point is its witness.
+    ``bounds[r]``, when given and not NaN, is an upper bound on row ``r``'s
+    maximum: no feasible point exceeds it.  A row whose bound the phase-1
+    vertex or an earlier row's witness already reaches is not solved; that
+    point is its witness.
     """
     a = np.asarray(a, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
-    flags = np.asarray(maximize, dtype=bool)
     m, n = a.shape
     if m == 0:
         raise ValueError("at least one constraint row is required")
     if costs.ndim != 2 or costs.shape[1] != n:
         raise ValueError(f"costs must be a matrix with one coefficient per column ({n})")
+    if not np.all(np.isfinite(costs)):
+        raise ValueError("cost coefficients must be finite")
     k = len(costs)
-    if flags.shape != (k,):
-        raise ValueError(f"expected one maximize flag per cost row ({k})")
     bounds = np.full(k, np.nan) if bounds is None else np.asarray(bounds, dtype=np.float64)
     if bounds.shape != (k,):
         raise ValueError(f"expected one bound per cost row ({k})")
-    sign = np.where(flags, 1.0, -1.0)
-    target = sign * bounds  # a row is proved once sign * value >= target
 
     # Extended problem: structural | one logical per row | artificials.
     lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
@@ -165,7 +160,7 @@ def solve(
     coefs = costs[rows, cols]
 
     def prove(w):
-        reached = todo & (sign * np.bincount(rows, coefs * w[cols], minlength=k) >= target)
+        reached = todo & (np.bincount(rows, coefs * w[cols], minlength=k) >= bounds)
         xs[reached] = w
         todo[reached] = False
 
@@ -180,7 +175,7 @@ def solve(
         if not todo[r]:
             continue
         c2 = np.zeros(len(lo_x))
-        c2[:n] = sign[r] * costs[r]
+        c2[:n] = costs[r]
         _, _, x = _iterate(ax, lo_x, hi_x, c2, basis.copy(), at_upper.copy(), binv.copy())
         xs[r] = x[:n]
         todo[r] = False

@@ -174,11 +174,16 @@ def assert_intervals_close(actual, expected, atol=1e-9):
 
 
 def optimize_one(cs, objective, direction):
-    """``optimize`` for the one objective vector: row 0 of a one-row batch."""
-    res = optimize(cs, np.asarray(objective, dtype=float)[None, :], [direction])
+    """``optimize`` for the one objective vector: row 0 of a one-row batch.
+
+    ``direction`` is ``"max"`` or ``"min"``; a minimum is found as the
+    maximum of the negated objective, and its value negated back.
+    """
+    sign = {"max": 1.0, "min": -1.0}[direction]
+    res = optimize(cs, sign * np.asarray(objective, dtype=float)[None, :])
     if res.status != OPTIMAL:
         return res
-    return SimplexResult(res.status, res.x[0], res.objective[0], res.infeasibility)
+    return SimplexResult(res.status, res.x[0], sign * res.objective[0], res.infeasibility)
 
 
 @pytest.fixture

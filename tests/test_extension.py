@@ -52,6 +52,13 @@ def test_joint_intervals_of_two_marginals(db_d, i_d_expected):
     assert_intervals_close(got, i_d_expected)
 
 
+def test_extension_star_keeps_zero_endpoints_positive(db_d):
+    # Lower endpoints come back from maxima of -p_j; a zero must not print as -0.
+    got = extension_star(db_d)
+    assert not np.signbit(got.lower).any() and not np.signbit(got.upper).any()
+    assert np.count_nonzero(got.lower == 0.0) == 2
+
+
 def test_extension_star_eight_cell_table(db_i, ei_star_expected):
     got = extension_star(db_i)
     assert_intervals_close(got, ei_star_expected)

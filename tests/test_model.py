@@ -132,6 +132,13 @@ def test_interval_distribution_shape_and_finiteness(space_xy):
         IntervalDistribution(
             space_xy, [0.0, 0.0, 0.0, np.nan], [1.0, 1.0, 1.0, 1.0]
         )
+    with pytest.raises(ValueError, match="one entry per cell"):
+        RealDistribution(space_xy, [0.5, 0.5])
+    with pytest.raises(ValueError, match="one entry per cell"):
+        RealDistribution(space_xy, [[0.25, 0.25], [0.25, 0.25]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            RealDistribution(space_xy, [0.5, 0.5, 0.0, bad])
 
 
 def test_real_distribution_checks_mass(space_xy):

@@ -265,7 +265,7 @@ def test_cell_upper_is_the_least_upper_bound_of_indicator_rows(space_x):
             want = np.minimum(want, table.upper[space.projection_map(table.space.names)])
         np.testing.assert_array_equal(cs.cell_upper(), want)
         # The tables come from different joints, so some systems are empty.
-        res = optimize(cs, np.eye(space.cell_count), ["max"] * space.cell_count)
+        res = optimize(cs, np.eye(space.cell_count))
         if res.status == OPTIMAL:
             assert np.all(res.objective <= want)
 
@@ -293,28 +293,22 @@ def test_optimize_marginal_cell_over_degenerate_database(db_d):
 
 def test_optimize_rejects_bad_objectives(db_d):
     cs = constraints_from_database(db_d)
-    with pytest.raises(ValueError):
-        optimize(cs, np.array([[1.0, 0.0]]), ["max"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.array([[1.0, 0.0, 0.0, np.inf]]), ["max"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.array([[1.0, 0.0, 0.0, 0.0]]), ["best"])
+    with pytest.raises(ValueError, match="matrix"):
+        optimize(cs, np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        optimize(cs, np.array([[1.0, 0.0, 0.0, np.inf]]))
     # A flat vector is refused like any other non-matrix.
     with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), ["max"])
+        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]))
+    # Shape, finite values and one bound per row.
     with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]), "max")
-    # Shape, finite values and one direction per row.
-    with pytest.raises(ValueError):
-        optimize(cs, np.zeros((2, 3)), ["min", "max"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.array([[1.0, 0.0, 0.0, np.nan]]), ["max"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.zeros((2, 4)), ["min"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.zeros((2, 4)), ["min", "best"])
-    with pytest.raises(ValueError):
-        optimize(cs, np.zeros((1, 1, 4)), ["min"])
+        optimize(cs, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        optimize(cs, np.array([[1.0, 0.0, 0.0, np.nan]]))
+    with pytest.raises(ValueError, match="bound"):
+        optimize(cs, np.zeros((2, 4)), bounds=[0.0])
+    with pytest.raises(ValueError, match="matrix"):
+        optimize(cs, np.zeros((1, 1, 4)))
 
 
 def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
@@ -322,15 +316,18 @@ def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
     for db in (db_d, db_i):
         cs = constraints_from_database(db)
         objs = rng.normal(size=(6, cs.space.cell_count))
-        directions = ["min", "max", "max", "min", "max", "min"]
-        many = optimize(cs, objs, directions)
+        many = optimize(cs, objs)
         assert many.status == OPTIMAL
         assert many.x.shape == objs.shape and many.objective.shape == (len(objs),)
-        for obj, direction, x, value in zip(objs, directions, many.x, many.objective):
-            one = optimize_one(cs, obj, direction)
+        for obj, x, value in zip(objs, many.x, many.objective):
+            one = optimize_one(cs, obj, "max")
             assert one.status == OPTIMAL
             assert value == one.objective
             np.testing.assert_array_equal(x, one.x)
+            # The max of a row is the min of its negation, on the same witness.
+            low = optimize_one(cs, -obj, "min")
+            assert low.objective == -value
+            np.testing.assert_array_equal(low.x, x)
             assert cs.max_residual(x) <= FEASIBILITY_TOL
 
 
@@ -348,9 +345,9 @@ def test_optimize_checks_every_witness_of_the_batch(db_i, monkeypatch):
     objs = np.eye(cs.space.cell_count)
     monkeypatch.setattr(simplex, "solve", last_witness_off)
     with pytest.raises(SolverError, match="witness violates constraints"):
-        optimize(cs, objs, ["max"] * len(objs))
+        optimize(cs, objs)
     monkeypatch.undo()
-    assert optimize(cs, objs, ["max"] * len(objs)).status == OPTIMAL
+    assert optimize(cs, objs).status == OPTIMAL
 
 
 def test_optimize_detects_contradictory_bounds(space_x):
@@ -482,7 +479,7 @@ def test_infeasibility_magnitude_reported(space_x):
     cs = constraints_from_database(Database((t1, t2)))
     out = optimize_one(cs, np.zeros(2), "max")
     assert out.status == INFEASIBLE
-    many = optimize(cs, np.eye(2), ["min", "max"])
+    many = optimize(cs, np.vstack([-np.eye(2), np.eye(2)]))
     assert many.status == INFEASIBLE
     assert many.x is None and many.objective is None
     assert many.infeasibility == out.infeasibility

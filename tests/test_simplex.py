@@ -14,9 +14,18 @@ INF = np.inf
 
 
 def _solve(a, row_lower, row_upper, lo, hi, costs, maximize):
-    """``simplex.solve`` on array-likes: one result for all rows of ``costs``."""
-    arrays = (np.asarray(v, float) for v in (a, row_lower, row_upper, lo, hi, costs))
-    return simplex.solve(*arrays, maximize)
+    """``simplex.solve`` on array-likes: one result for all rows of ``costs``.
+
+    Row ``r`` is maximized when ``maximize[r]`` is true; otherwise its
+    minimum is found as the maximum of the negated row, and negated back.
+    """
+    sign = np.where(maximize, 1.0, -1.0)[:, None]
+    arrays = [np.asarray(v, float) for v in (a, row_lower, row_upper, lo, hi, costs)]
+    arrays[-1] = sign * arrays[-1]
+    res = simplex.solve(*arrays)
+    if res.status != simplex.OPTIMAL:
+        return res
+    return simplex.SimplexResult(res.status, res.x, sign[:, 0] * res.objective, res.infeasibility)
 
 
 def _solve_one(a, row_lower, row_upper, lo, hi, c, maximize=True):
@@ -214,27 +223,30 @@ def test_cost_matrix_over_infeasible_system_shares_one_infeasibility():
 
 
 def test_cost_matrix_shape_errors():
-    a, rl, ru, lo, hi = [[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1]
-    with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, [[1.0, 0.0, 0.0]], maximize=[True])
-    with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, [1.0, 0.0], maximize=[True])  # a vector
-    with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, [[1.0, 0.0], [0.0, 1.0]], maximize=[True])
-    with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, [[1.0, 0.0]], maximize=True)
-    with pytest.raises(ValueError):
-        _solve(a, rl, ru, lo, hi, np.zeros((1, 1, 2)), maximize=[True])
+    system = [np.asarray(v, float) for v in ([[1.0, 1.0]], [-INF], [0.8], [0, 0], [1, 1])]
+
+    def solve(costs):
+        return simplex.solve(*system, np.asarray(costs, float))
+
+    with pytest.raises(ValueError, match="matrix"):
+        solve([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="matrix"):
+        solve([1.0, 0.0])  # a vector
+    with pytest.raises(ValueError, match="matrix"):
+        solve(np.zeros((1, 1, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve([[1.0, 0.0], [0.0, bad]])
 
 
 def test_bounds_let_earlier_witnesses_prove_rows(kernel_runs):
     # Over x1 + x2 = 1 phase 1 ends at the vertex (1, 0).  It proves the max
-    # of x1 (bound 1); row 0's witness (0, 1) proves row 1 and the min of x1
+    # of x1 (bound 1); row 0's witness (0, 1) proves row 1 and the max of -x1
     # (bound 0).  Row 2 has no bound, so it is solved like row 0.
-    costs = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+    costs = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]
     res = simplex.solve(
         np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0]), np.zeros(2), np.ones(2),
-        np.array(costs), [True, True, True, True, False], bounds=[1.0, 1.0, np.nan, 1.0, 0.0],
+        np.array(costs), bounds=[1.0, 1.0, np.nan, 1.0, 0.0],
     )
     assert res.status == simplex.OPTIMAL
     assert len(kernel_runs) == 3  # phase 1, then rows 0 and 2
@@ -243,7 +255,7 @@ def test_bounds_let_earlier_witnesses_prove_rows(kernel_runs):
     with pytest.raises(ValueError, match="bound"):
         simplex.solve(
             np.array([[1.0]]), np.array([-INF]), np.array([1.0]), np.zeros(1), np.ones(1),
-            np.array([[1.0]]), [True], bounds=[1.0, 1.0],
+            np.array([[1.0]]), bounds=[1.0, 1.0],
         )
 
 
