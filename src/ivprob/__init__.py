@@ -4,8 +4,9 @@ The package models per-cell probability intervals, computes the exact joint
 envelopes a database of (interval) marginal tables admits, projects and
 reconstructs distributions across database schemes, and quantifies the
 uncertainty and information loss involved — all exact, not endpoint
-arithmetic: database envelopes by linear programming, single-table bounds in
-closed form.
+arithmetic: single-table bounds and envelopes of tables that share no
+variable in closed form, every other database envelope by linear
+programming.
 """
 
 from .errors import (

@@ -10,13 +10,22 @@ the envelope of the projected database — and measures what the scheme forgot.
 Every endpoint returned by these functions is attained by a feasible joint;
 the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
-Huete & Moral, IJUFKS 1994).  A database envelope maximizes ``-p_j`` and
-``p_j`` for every joint cell ``j`` over the database polytope in one simplex
-call: one phase 1 for the polytope, then one phase 2 per endpoint still open.
-An endpoint is open until some witness reaches its valid bound: 0 for
-``-p_j``, and for ``p_j`` the least upper bound of the rows that hold the
-cell.  Every endpoint is attained by its LP witness or by the earlier witness
-that reached its bound.
+Huete & Moral, IJUFKS 1994).
+
+A database whose tables share no variable has a closed-form envelope too.
+Any tuple of distributions of such tables is the marginal tuple of some
+joint, so a joint cell ``x`` is bounded by the Fréchet bounds (Fréchet 1951)
+over the tables' reachable bounds ``[l_C, u_C]``: at most ``min_C u_C(x_C)``
+and at least ``max(0, sum_C l_C(x_C) - (k - 1))`` over ``k`` tables, where
+ambient variables in no table form one more, vacuous, table.  Every other
+database, and one with a table whose lower bounds sum above 1 or upper bounds
+below 1 in floats (the tolerance edge), keeps the joint LP: it maximizes
+``-p_j`` and ``p_j`` for every joint cell ``j`` over the database polytope in
+one simplex call, one phase 1 for the polytope and then one phase 2 per
+endpoint still open.  An endpoint is open until some witness reaches its
+valid bound: 0 for ``-p_j``, and for ``p_j`` the least upper bound of the
+rows that hold the cell.  Every LP endpoint is attained by its LP witness or
+by the earlier witness that reached its bound.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .model import (
     RealDistribution,
     Scheme,
     Space,
+    require_valid,
 )
 from .polytope import OPTIMAL, constraints_from_database, optimize
 
@@ -67,10 +77,51 @@ def extension_star(db: Database) -> IntervalDistribution:
     For each cell of the ambient space the endpoints are the exact min and max
     probabilities over all joint distributions whose marginals satisfy every
     table of the database.  Every such joint is more informative than the
-    result, and each endpoint is attained by one of them.
+    result, and each endpoint is attained by one of them.  When the tables
+    share no variable the endpoints are the Fréchet bounds over the tables'
+    reachable bounds; otherwise they come from the joint LP (see the module
+    docstring).
 
     Raises :class:`InfeasibleError` when the database is inconsistent.
     """
+    cover = _disjoint_cover(db)
+    if cover is None:
+        return _joint_envelope(db)
+    require_valid(db)
+    space = db.space
+    # Summing from +0.0 keeps a zero lower endpoint +0.0 rather than -0.0.
+    lower = np.zeros(space.cell_count)
+    upper = np.ones(space.cell_count)
+    for table in cover:
+        cells = table.space.cell_count
+        reach = _box_envelope(table, np.arange(cells), table.space)  # tighten(table)
+        pm = space.projection_map(table.space.names)
+        lower += reach.lower[pm]
+        upper = np.minimum(upper, reach.upper[pm])
+    return _scrubbed(space, np.maximum(lower - (len(cover) - 1), 0.0), upper)
+
+
+def _disjoint_cover(db: Database) -> tuple[IntervalDistribution, ...] | None:
+    """``db``'s tables, plus a vacuous one over the variables none holds.
+
+    None unless the tables' variable sets are pairwise disjoint and every
+    table's bounds straddle 1 in floats, so that its box is not empty.
+    """
+    held = [name for t in db.tables for name in t.space.names]
+    if len(set(held)) < len(held):
+        return None
+    if not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables):
+        return None
+    free = [name for name in db.space.names if name not in held]
+    if not free:
+        return db.tables
+    sub = db.space.subspace(free)
+    vacuous = IntervalDistribution(sub, np.zeros(sub.cell_count), np.ones(sub.cell_count))
+    return db.tables + (vacuous,)
+
+
+def _joint_envelope(db: Database) -> IntervalDistribution:
+    """``extension_star`` by the joint LP, for any database."""
     cs = constraints_from_database(db)
     n = cs.space.cell_count
     # One simplex call maximizes the 2n rows of [-I; I]: its shared phase 1 is

@@ -80,18 +80,48 @@ def test_extend_interval_database_matches_fixture_bytes(capsys):
     assert out == (FIXTURES / "ei_star.json").read_text()
 
 
-def test_extend_real_database_gives_joint_intervals(capsys):
+def _marginals_document(path, x, y):
+    """A database of real tables on X and on Y, written to ``path``."""
+    tables = [
+        {"vars": [name], "rows": [{"key": [f"{prefix}{k + 1}"], "p": v} for k, v in enumerate(p)]}
+        for name, prefix, p in (("X", "x", x), ("Y", "y", y))
+    ]
+    variables = [{"name": n, "domain": [f"{n.lower()}1", f"{n.lower()}2"]} for n in ("X", "Y")]
+    path.write_text(json.dumps({"variables": variables, "tables": tables}))
+    return path
+
+
+def test_extend_real_database_gives_joint_intervals(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "extend", FIXTURES / "db_d.json")
     assert code == 0
     doc = parse_document(out)
     np.testing.assert_allclose(doc.lower, [0.3, 0.1, 0.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(doc.upper, [0.6, 0.4, 0.3, 0.3], atol=1e-9)
 
+    # X sums to 1 + 8e-10, which validate accepts: such a table keeps the
+    # joint LP, so the output is the LP's to the last printed digit.
+    import ivprob.cli
+    from ivprob.extension import _joint_envelope
 
-def test_extend_inconsistent_database(capsys):
+    edge = _marginals_document(tmp_path / "edge.json", [0.7000000008, 0.3], [0.6, 0.4])
+    code, out, err = run(capsys, "extend", edge)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(ivprob.cli, "extension_star", _joint_envelope)
+    assert run(capsys, "extend", edge) == (0, out, "")
+
+
+def test_extend_inconsistent_database(capsys, tmp_path):
     code, out, err = run(capsys, "extend", FIXTURES / "inconsistent_db.json")
     assert code == 1
     assert "error" in err
+
+    # X sums to 1 + 8e-10 and Y to 1 - 8e-10: each passes validate, but no
+    # joint has both as marginals.
+    edge = _marginals_document(tmp_path / "edge.json", [0.7000000008, 0.3], [0.6, 0.3999999992])
+    assert run(capsys, "validate", edge)[:2] == (0, "OK\n")
+    code, out, err = run(capsys, "extend", edge)
+    assert (code, out) == (1, "")
+    assert err == "error: no joint distribution satisfies the constraints\n"
 
 
 # ---------------------------------------------------------------- project ---
@@ -376,10 +406,27 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
         raise SolverError("singular basis")
 
     monkeypatch.setattr(ivprob.simplex, "solve", broken)
-    code, out, err = run(capsys, "extend", FIXTURES / "db_d.json")
+    code, out, err = run(capsys, "extend", FIXTURES / "db_i.json")
     assert code == 3
     assert out == ""
     assert err == "error: internal solver failure: singular basis\n"
+
+
+def test_disjoint_tables_extend_without_the_solver(capsys, monkeypatch):
+    # X and Y share no variable, so the envelope is the closed form: no LP runs.
+    import ivprob.simplex
+    from ivprob import SolverError
+
+    def broken(*args, **kwargs):
+        raise SolverError("singular basis")
+
+    monkeypatch.setattr(ivprob.simplex, "solve", broken)
+    code, out, err = run(capsys, "extend", FIXTURES / "db_d.json", "--format", "table")
+    assert (code, err) == (0, "")
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    command = "$ ivprob extend tests/fixtures/db_d.json --format table\n"
+    example = readme[readme.index(command) + len(command):]
+    assert out == example[: example.index("\n\n") + 1]
 
 
 def test_bad_last_witness_exits_3(capsys, monkeypatch):
@@ -393,7 +440,7 @@ def test_bad_last_witness_exits_3(capsys, monkeypatch):
         return res
 
     monkeypatch.setattr(ivprob.simplex, "solve", last_witness_off)
-    code, out, err = run(capsys, "extend", FIXTURES / "db_d.json")
+    code, out, err = run(capsys, "extend", FIXTURES / "db_i.json")
     assert code == 3
     assert out == ""
     assert err.startswith("error: internal solver failure: witness violates constraints by ")

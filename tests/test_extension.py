@@ -20,12 +20,14 @@ from ivprob import (
     extension_star,
     is_more_informative,
     joint_intervals,
+    optimize,
     project_database,
     project_interval,
     project_real,
     reconstruct,
     tighten,
 )
+from ivprob.extension import _joint_envelope
 from ivprob.model import SUM_TOLERANCE
 from ivprob.polytope import FEASIBILITY_TOL
 
@@ -398,13 +400,13 @@ def _reuse_chains(rng):
 
 
 def _envelope_and_solved(db, kernel_runs):
-    """``extension_star(db)`` and, per endpoint, whether it ran its own phase 2.
+    """The joint-LP envelope of ``db`` and, per endpoint, whether it ran its own phase 2.
 
     The solved mask is indexed by the sign of the unit cost: row 1 for a max,
     row 0 for a min (solved as the max of its negation).
     """
     kernel_runs.clear()
-    env = extension_star(db)
+    env = _joint_envelope(db)
     n = env.space.cell_count
     solved = np.zeros((2, n), dtype=bool)
     for (_, _, _, cost, _, _), _ in kernel_runs[1:]:
@@ -423,6 +425,18 @@ def _single_lp_envelope(db):
     return np.minimum(lower, upper), upper
 
 
+def _assert_matches_joint_envelope(db, joint):
+    """``extension_star`` is the joint LP's envelope: bit for bit when tables
+    overlap, and within the proved-endpoint tolerance in closed form."""
+    got = extension_star(db)
+    held = [name for t in db.tables for name in t.space.names]
+    if len(set(held)) < len(held):
+        assert got == joint
+    else:
+        np.testing.assert_allclose(got.lower, joint.lower, atol=1e-15, rtol=0.0)
+        np.testing.assert_allclose(got.upper, joint.upper, atol=1e-15, rtol=0.0)
+
+
 def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
     rng = np.random.default_rng(401)
     for db, inconsistent in _sweep_databases(rng, 40):
@@ -430,6 +444,7 @@ def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
         lower, upper = _single_lp_envelope(db)
         np.testing.assert_array_equal(env.lower, lower)
         np.testing.assert_array_equal(env.upper, upper)
+        _assert_matches_joint_envelope(db, env)
 
         cs = constraints_from_database(inconsistent)
         probe = optimize_one(cs, np.zeros(cs.space.cell_count), "max")
@@ -445,6 +460,7 @@ def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
             # A proved endpoint is an earlier witness's value, not its own
             # LP's; on these chains the two can differ by 1 ulp.
             np.testing.assert_allclose(got[~own], want[~own], atol=1e-15, rtol=0.0)
+        _assert_matches_joint_envelope(db, env)
 
 
 def test_extension_star_runs_phase_one_once(db_i, kernel_runs):
@@ -473,17 +489,23 @@ def _chain_database(rng, shape, kind):
     return Database(tables, space=space)
 
 
-def _highs_envelope(db, shape):
-    """Per-cell min and max by SciPy's HiGHS, from rows built here by reshaping."""
+def _highs_envelope(db):
+    """Per-cell min and max by SciPy's HiGHS, and the largest residual of its witnesses.
+
+    The rows are built here from the labels of every joint cell, not by
+    ``constraints_from_database``; a witness's residual is its largest
+    violation of a table row, the normalization or the unit box.
+    """
     from scipy.optimize import linprog
 
-    n = int(np.prod(shape))
+    shape, n = db.space.shape, db.space.cell_count
     labels = np.indices(shape).reshape(len(shape), n)  # row-major joint cells
     rows, lows, highs = [], [], []
-    for k, table in enumerate(db.tables):
-        width = shape[k + 1]
+    for table in db.tables:
+        axes = [db.space.names.index(name) for name in table.space.names]
+        table_cell = np.ravel_multi_index(tuple(labels[axes]), table.space.shape)
         for t in range(table.space.cell_count):
-            rows.append(((labels[k] == t // width) & (labels[k + 1] == t % width)).astype(float))
+            rows.append((table_cell == t).astype(float))
             lows.append(table.lower[t])
             highs.append(table.upper[t])
     fibers = np.array(rows)
@@ -492,9 +514,15 @@ def _highs_envelope(db, shape):
         A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0.0, 1.0), method="highs",
     )
     cells = np.eye(n)
-    lower = [linprog(e, **lp).fun for e in cells]
-    upper = [-linprog(-e, **lp).fun for e in cells]
-    return np.array(lower), np.array(upper)
+    mins = [linprog(e, **lp) for e in cells]
+    maxs = [linprog(-e, **lp) for e in cells]
+    x = np.array([res.x for res in mins + maxs])
+    fx = x @ fibers.T
+    residual = max(
+        np.max(lows - fx), np.max(fx - highs), np.max(np.abs(x.sum(axis=1) - 1.0)),
+        -x.min(), x.max() - 1.0,
+    )
+    return np.array([r.fun for r in mins]), -np.array([r.fun for r in maxs]), residual
 
 
 def test_extension_star_matches_highs_on_chains():
@@ -504,9 +532,93 @@ def test_extension_star_matches_highs_on_chains():
         for kind in ("interval", "real", "mixed"):
             db = _chain_database(rng, shape, kind)
             env = extension_star(db)
-            lower, upper = _highs_envelope(db, shape)
+            lower, upper, _ = _highs_envelope(db)
             np.testing.assert_allclose(env.lower, lower, atol=1e-7, rtol=0.0)
             np.testing.assert_allclose(env.upper, upper, atol=1e-7, rtol=0.0)
+
+
+def _disjoint_databases(rng, count):
+    """Databases whose tables share no variable, of every table kind.
+
+    The variables of a random space and a one-label one go, in random order,
+    to up to three tables; every third ambient space also holds a variable
+    that no table does.
+    """
+    one_label = Variable("S", ("s1",))
+    unused = Variable("W", ("w1", "w2"))
+    kinds = ("interval", "degenerate", "real", "mixed")
+    for case in range(count):
+        space = Space((one_label,) + random_space(rng, max_cells=8).variables)
+        ambient = Space(space.variables + (unused,)) if case % 3 == 0 else space
+        p = random_real(rng, space).p
+        owner = rng.integers(3, size=len(space.names))
+        tables = []
+        for t in range(3):
+            names = tuple(space.names[k] for k in rng.permutation(len(owner)) if owner[k] == t)
+            if names:
+                tables.append(_marginal_table(rng, space, names, p, kinds[case % 4]))
+        yield Database(tuple(tables), space=ambient)
+
+
+def test_disjoint_envelope_matches_highs():
+    # The closed form rests on a theorem, not on an LP witness: HiGHS, on rows
+    # built independently, must reach every endpoint with a feasible joint.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(421)
+    for db in _disjoint_databases(rng, 16):
+        env = extension_star(db)
+        lower, upper, residual = _highs_envelope(db)
+        np.testing.assert_allclose(env.lower, lower, atol=1e-9, rtol=0.0)
+        np.testing.assert_allclose(env.upper, upper, atol=1e-9, rtol=0.0)
+        assert residual <= 1e-9
+
+
+def test_disjoint_envelope_is_exact_below_lp_noise(space_x, space_y, space_xy):
+    # Bounds 1e-12 apart pin these cells; the joint LP can miss such a pin by
+    # up to 1e-12, while the closed form keeps it.
+    pinned = IntervalDistribution(space_x, [1.0, 0.0], [1.0, 1e-12])
+    got = extension_star(Database((pinned,)))
+    assert got == IntervalDistribution(space_x, [1.0, 0.0], [1.0, 0.0])
+
+    tiny = 4.274544882241313e-15
+    x = IntervalDistribution(space_x, [tiny, 0.7652804572178621], [tiny, 0.9999999999999958])
+    y = IntervalDistribution(space_y, [0.0, 1.0], [0.010201981980951904, 1.0])
+    got = extension_star(Database((x, y), space=space_xy))
+    # Y is pinned at y2, so cell (x1, y2) holds exactly X's pinned mass.
+    assert got.upper[1] == tiny
+    assert got.lower[1] == pytest.approx(tiny, abs=1e-16)
+    np.testing.assert_array_equal(got.upper[[0, 2]], 0.0)
+
+
+def test_chain_cell_maximum_is_below_every_table_maximum():
+    # min over tables of each table's maximum is no upper endpoint once a
+    # chain has three tables: cell (a1, b2, c2, d2) reaches 0.26, while the
+    # least of the three tables' maxima over the polytope is 0.33.
+    binary = {name: Variable(name, (f"{name.lower()}1", f"{name.lower()}2")) for name in "ABCD"}
+    space = Space(tuple(binary.values()))
+
+    def table(names, lower, upper):
+        return IntervalDistribution(Space(tuple(binary[n] for n in names)), lower, upper)
+
+    db = Database(
+        (
+            table("AB", [0.21, 0.18, 0.08, 0.31], [0.52, 0.34, 0.29, 0.37]),
+            table("BC", [0.21, 0.08, 0.11, 0.08], [0.27, 0.49, 0.37, 0.39]),
+            table("CD", [0.0, 0.13, 0.35, 0.01], [0.25, 0.44, 0.41, 0.42]),
+        ),
+        space=space,
+    )
+    cell = ("a1", "b2", "c2", "d2")
+    fibers = [
+        space.projection_map(t.space.names)
+        == t.space.cell_index([label for label in cell if label[0].upper() in t.space.names])
+        for t in db.tables
+    ]
+    maxima = optimize(constraints_from_database(db), np.array(fibers, dtype=float)).objective
+    np.testing.assert_allclose(maxima, [0.34, 0.39, 0.33], atol=1e-12, rtol=0.0)
+    upper = extension_star(db).upper[space.cell_index(cell)]
+    assert upper == pytest.approx(0.26, abs=1e-12)
+    assert upper < maxima.min() - 0.05
 
 
 def test_extension_star_matches_closed_form_bounds_on_real_chains():
