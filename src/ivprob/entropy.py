@@ -94,10 +94,15 @@ def maxent_ipf(db: Database) -> RealDistribution:
     """Maximum-entropy joint matching every real-valued table of ``db``.
 
     Iterative proportional fitting from the uniform start: each sweep rescales
-    the joint so one table's marginal matches exactly, cycling through the
-    tables until the largest marginal deviation falls below ``IPF_TOLERANCE``.
-    For consistent real marginals this converges to the unique maximum-entropy
-    element of the set of joints with those marginals.
+    the joint once per table, in order, so that table's marginal matches
+    exactly.  After the sweep, one ``bincount`` over the tables' projection
+    maps, stacked at per-table offsets, gives every table's marginal: fitting
+    stops once the largest deviation from the targets falls below
+    ``IPF_TOLERANCE``, and otherwise the first table's slice starts the next
+    sweep.  ``bincount`` adds each bin's weights in input order, so each
+    marginal is the same float as a per-table ``bincount``.  For consistent
+    real marginals this converges to the unique maximum-entropy element of
+    the set of joints with those marginals.
 
     Raises :class:`ConvergenceError` after ``IPF_MAX_SWEEPS`` sweeps, which
     signals inconsistent tables (or, for extreme inputs, a too-low cap), and
@@ -112,23 +117,30 @@ def maxent_ipf(db: Database) -> RealDistribution:
             )
     space = db.space
     n = space.cell_count
-    fits = []
-    for table in db.tables:
-        pm = space.projection_map(table.space.names)
-        target = table.lower / table.lower.sum()
-        fits.append((pm, table.space.cell_count, target))
+    maps = [space.projection_map(table.space.names) for table in db.tables]
+    # + 0.0 turns a -0.0 target into 0.0, so its ratio cannot flip a sign bit
+    targets = [table.lower / table.lower.sum() + 0.0 for table in db.tables]
+    # Every table's marginal is one bincount: table t's bins sit at an offset
+    # past the bins of the tables before it, and each reads a copy of p.  The
+    # leading empty arrays let a database with no tables stack too.
+    offsets = np.cumsum([0] + [target.size for target in targets])
+    bins = np.concatenate([np.empty(0, np.intp)] + [m + o for m, o in zip(maps, offsets)])
+    cells = np.tile(np.arange(n), len(maps))
+    stacked_target = np.concatenate([np.empty(0)] + targets)
 
     p = np.full(n, 1.0 / n)
+    marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
     deviation = np.inf
     for _ in range(IPF_MAX_SWEEPS):
-        for pm, k, target in fits:
-            current = np.bincount(pm, weights=p, minlength=k)
-            ratio = np.where(target > 0.0, target / np.maximum(current, 1e-300), 0.0)
-            p = p * ratio[pm]
-        deviation = 0.0
-        for pm, k, target in fits:
-            current = np.bincount(pm, weights=p, minlength=k)
-            deviation = max(deviation, float(np.max(np.abs(current - target))))
+        for t, (pm, target) in enumerate(zip(maps, targets)):
+            if t:
+                current = np.bincount(pm, weights=p, minlength=target.size)
+            else:
+                current = marginal[: target.size]
+            # 0 where the target is 0: the divisor is at least 1e-300
+            p = p * (target / np.maximum(current, 1e-300))[pm]
+        marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
+        deviation = float(np.abs(marginal - stacked_target).max(initial=0.0))
         if deviation < IPF_TOLERANCE:
             return RealDistribution(space, p / p.sum())
     raise ConvergenceError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +78,11 @@ class Variable:
     def size(self) -> int:
         return len(self.domain)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each value label's index in ``domain``."""
+        return {label: k for k, label in enumerate(self.domain)}
+
 
 @dataclass(frozen=True)
 class Space:
@@ -87,7 +92,8 @@ class Space:
     row-major over the domain sizes (first variable slowest), so the all-first
     tuple has index 0 and the all-last tuple has index ``cell_count - 1``.
     A space of more than ``SPACE_CELL_CAP`` cells is refused with
-    :class:`~ivprob.errors.EnumerationLimitError`.
+    :class:`~ivprob.errors.EnumerationLimitError`.  Its geometry (names,
+    shape, strides, cell count) is computed once, on first use.
     """
 
     variables: tuple[Variable, ...]
@@ -105,19 +111,19 @@ class Space:
                 f"refusing beyond {SPACE_CELL_CAP} cells"
             )
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.variables)
 
-    @property
+    @cached_property
     def cell_count(self) -> int:
         return math.prod(self.shape)
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Row-major strides: ``index = sum(position[i] * strides[i])``."""
         out = []
@@ -143,8 +149,8 @@ class Space:
         idx = 0
         for var, stride, lab in zip(self.variables, self.strides, labels):
             try:
-                pos = var.domain.index(lab)
-            except ValueError:
+                pos = var._positions[lab]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise UnknownVariableError(
                     f"variable {var.name!r} has no value label {lab!r}"
                 ) from None

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from ivprob import Database, IntervalDistribution, RealDistribution, Scheme, Space, Variable
-from ivprob.errors import SolverError
+from ivprob.entropy import IPF_MAX_SWEEPS, IPF_TOLERANCE
+from ivprob.errors import ConvergenceError, SolverError
 from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL
 
 FEAS_TOL = 1e-9
@@ -53,6 +54,42 @@ def factored_join(p_flat, shape, u_axes, w_axes, z_axes) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(m_u > 0.0, m_uw * m_uz / np.where(m_u > 0.0, m_u, 1.0), 0.0)
     return np.broadcast_to(q, shape).ravel().copy()
+
+
+def ipf_reference(db: Database) -> RealDistribution:
+    """Maximum-entropy fit by per-table iterative proportional fitting.
+
+    The sweep loop ``entropy.maxent_ipf`` ran before it stacked the marginals:
+    every table's marginal is a fresh ``bincount`` both when it is fitted and
+    when the deviation is taken.  ``maxent_ipf`` must match it bit for bit,
+    in the joint it returns or in the message of the ``ConvergenceError`` it
+    raises.  Expects a valid database of real tables.
+    """
+    space = db.space
+    n = space.cell_count
+    fits = []
+    for table in db.tables:
+        pm = space.projection_map(table.space.names)
+        target = table.lower / table.lower.sum()
+        fits.append((pm, table.space.cell_count, target))
+
+    p = np.full(n, 1.0 / n)
+    deviation = np.inf
+    for _ in range(IPF_MAX_SWEEPS):
+        for pm, k, target in fits:
+            current = np.bincount(pm, weights=p, minlength=k)
+            ratio = np.where(target > 0.0, target / np.maximum(current, 1e-300), 0.0)
+            p = p * ratio[pm]
+        deviation = 0.0
+        for pm, k, target in fits:
+            current = np.bincount(pm, weights=p, minlength=k)
+            deviation = max(deviation, float(np.max(np.abs(current - target))))
+        if deviation < IPF_TOLERANCE:
+            return RealDistribution(space, p / p.sum())
+    raise ConvergenceError(
+        f"marginal fitting did not converge in {IPF_MAX_SWEEPS} sweeps "
+        f"(residual deviation {deviation:.3e}); the tables may be inconsistent"
+    )
 
 
 def chain_cell_bounds(tables) -> tuple[np.ndarray, np.ndarray]:

@@ -256,6 +256,35 @@ def test_maxent_fit(capsys):
     assert doc.is_degenerate
 
 
+def test_maxent_of_tables_that_disagree_by_1e9_fails_cleanly(capsys, tmp_path):
+    """B's marginal is 0.4 in A,B and 0.4 - 1e-9 in B,C: each table passes
+    validate, but no joint has both, so fitting runs to its sweep cap."""
+    rows = {
+        ("A", "B"): [0.1, 0.2, 0.3, 0.4],
+        ("B", "C"): [0.249999999, 0.15, 0.350000001, 0.25],
+    }
+    tables = [
+        {
+            "vars": list(names),
+            "rows": [
+                {"key": [f"{names[0].lower()}{j}", f"{names[1].lower()}{k}"], "p": v}
+                for (j, k), v in zip(((1, 1), (1, 2), (2, 1), (2, 2)), p)
+            ],
+        }
+        for names, p in rows.items()
+    ]
+    variables = [{"name": n, "domain": [f"{n.lower()}1", f"{n.lower()}2"]} for n in "ABC"]
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps({"variables": variables, "tables": tables}))
+    assert run(capsys, "validate", path)[:2] == (0, "OK\n")
+    code, out, err = run(capsys, "maxent", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: marginal fitting did not converge in 10000 sweeps "
+        "(residual deviation 7.500e-10); the tables may be inconsistent\n"
+    )
+
+
 def test_mvd_conditional_independence(capsys):
     code, out, err = run(
         capsys, "mvd", FIXTURES / "abc_mid.json", "--w", "C", "--u", "B"

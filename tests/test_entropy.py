@@ -37,6 +37,7 @@ from ivprob import (
 from conftest import optimize_one
 from oracles import (
     entropy_bits,
+    ipf_reference,
     min_entropy_by_vertices,
     random_consistent_database,
     random_interval,
@@ -202,6 +203,81 @@ def test_ipf_fit_matches_marginals():
             got = project_real(fit, (name,))
             want = project_real(hidden, (name,))
             np.testing.assert_allclose(got.p, want.p, atol=1e-8)
+
+
+def _grid_space(shape) -> Space:
+    return Space(
+        tuple(
+            Variable(f"V{k + 1}", tuple(f"v{k + 1}.{m + 1}" for m in range(size)))
+            for k, size in enumerate(shape)
+        )
+    )
+
+
+def _real_table(space, p, names) -> IntervalDistribution:
+    """The marginal of joint ``p`` on ``names``, in the order given."""
+    sub = space.subspace(names)
+    m = np.bincount(space.projection_map(names), weights=p, minlength=sub.cell_count)
+    return IntervalDistribution(sub, m, m)
+
+
+def _ipf_inputs():
+    """(id, database, whether IPF converges) for the bit-for-bit comparison."""
+    rng = np.random.default_rng(14)
+    out = []
+    for k in (2, 3, 4):  # chains: singletons for 2 variables, else consecutive pairs
+        for rep in range(2):
+            sp = _grid_space(rng.integers(2, 4, size=k))
+            p = random_real(rng, sp).p
+            names = sp.names
+            links = [names[j : j + 2] for j in range(k - 1)] if k > 2 else [(n,) for n in names]
+            db = Database([_real_table(sp, p, c) for c in links])
+            out.append((f"chain{k}-{rep}", db, True))
+    for shape in ((2, 3, 2), (3, 2, 2, 2)):  # the second table moves 1e-9 of V2's mass
+        sp = _grid_space(shape)
+        p = random_real(rng, sp).p
+        tables = [_real_table(sp, p, sp.names[j : j + 2]) for j in range(len(shape) - 1)]
+        m = tables[1].lower.reshape(shape[1], shape[2]).copy()
+        m[0, 0] -= 1e-9
+        m[1, 0] += 1e-9
+        tables[1] = IntervalDistribution(tables[1].space, m.ravel(), m.ravel())
+        out.append((f"skewed{len(shape)}", Database(tables), False))
+    sp = _grid_space((2, 3, 2))
+    p = random_real(rng, sp, floor=0.05).p
+    triangle = [("V1", "V2"), ("V2", "V3"), ("V1", "V3")]
+    out.append(("triangle", Database([_real_table(sp, p, t) for t in triangle]), True))
+    zeros = random_real(rng, sp).p.reshape(2, 3, 2).copy()
+    zeros[0, 1, :] = 0.0  # cell (v1.1, v2.2) of V1,V2
+    zeros[:, 0, 0] = 0.0  # cell (v2.1, v3.1) of V2,V3
+    zeros = zeros.ravel() / zeros.sum()
+    chain = [_real_table(sp, zeros, ("V1", "V2")), _real_table(sp, zeros, ("V2", "V3"))]
+    out.append(("zero-cells", Database(chain), True))
+    signed = chain[0].lower.copy()
+    signed[signed == 0.0] = -0.0
+    negzero = [IntervalDistribution(chain[0].space, signed, signed), chain[1]]
+    out.append(("negative-zero", Database(negzero), True))
+    swapped = [_real_table(sp, p, ("V2", "V1")), _real_table(sp, p, ("V3", "V2"))]
+    out.append(("out-of-order", Database(swapped, space=sp), True))
+    free = [_real_table(sp, p, ("V1",)), _real_table(sp, p, ("V3",))]
+    out.append(("unheld-variable", Database(free, space=sp), True))
+    out.append(("full-joint", Database([_real_table(sp, p, sp.names)]), True))
+    out.append(("empty", Database((), space=sp), True))
+    return out
+
+
+@pytest.mark.parametrize(
+    "db, converges", [pytest.param(db, ok, id=name) for name, db, ok in _ipf_inputs()]
+)
+def test_ipf_matches_per_table_reference_bit_for_bit(db, converges):
+    def outcome(fit):
+        try:
+            return fit(db).p.tobytes()
+        except ConvergenceError as exc:
+            return str(exc)
+
+    got = outcome(maxent_ipf)
+    assert isinstance(got, bytes) == converges
+    assert got == outcome(ipf_reference)
 
 
 # ------------------------------------------------------------- box maxent ---

@@ -66,6 +66,19 @@ def test_cell_index_names_unknown_label(space_xy):
     assert "Y" in str(err.value) and "nope" in str(err.value)
 
 
+@pytest.mark.parametrize("label", [3, None, ["y1"], ("y1",)])
+def test_cell_index_names_a_label_that_is_not_a_string(space_xy, label):
+    with pytest.raises(UnknownVariableError) as err:
+        space_xy.cell_index(("x1", label))
+    assert "Y" in str(err.value)
+
+
+def test_space_geometry_is_computed_once(space_xyz):
+    for name in ("names", "shape", "strides", "cell_count"):
+        assert getattr(space_xyz, name) is getattr(space_xyz, name)
+    assert (space_xyz.shape, space_xyz.strides, space_xyz.cell_count) == ((2, 2, 2), (4, 2, 1), 8)
+
+
 def test_cell_index_tuple_roundtrip_on_random_spaces():
     rng = np.random.default_rng(20250814)
     for _ in range(25):
