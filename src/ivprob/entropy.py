@@ -2,7 +2,8 @@
 
 Provides entropy, conditional entropy, and KL divergence (all in bits);
 maximum-entropy fitting of real marginal tables by iterative proportional
-fitting; and the two ends of an interval distribution's entropy range, which
+fitting, which stops early, with the same result, once its iterate repeats;
+and the two ends of an interval distribution's entropy range, which
 the measures ``measure_u1`` and ``measure_u2`` report: the maximum by exact
 water-filling, the minimum by enumerating the vertices of the box.
 """
@@ -104,6 +105,10 @@ def maxent_ipf(db: Database) -> RealDistribution:
     real marginals this converges to the unique maximum-entropy element of
     the set of joints with those marginals.
 
+    Once the joint repeats bit for bit, the fit is periodic and cannot
+    converge, so whole periods up to the cap are skipped: the joint returned,
+    or the error raised, is the same as running every sweep.
+
     Raises :class:`ConvergenceError` after ``IPF_MAX_SWEEPS`` sweeps, which
     signals inconsistent tables (or, for extreme inputs, a too-low cap), and
     :class:`ValueError` if any table is interval-valued.
@@ -131,7 +136,13 @@ def maxent_ipf(db: Database) -> RealDistribution:
     p = np.full(n, 1.0 / n)
     marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
     deviation = np.inf
-    for _ in range(IPF_MAX_SWEEPS):
+    # A sweep reads nothing but p, so once p repeats bit for bit every later
+    # sweep repeats too.  Brent's cycle detection (BIT 20, 1980) compares p
+    # with one copy saved after sweeps 1, 2, 4, 8, ...; on a match, whole
+    # periods are skipped and the last partial period runs as usual.
+    saved, saved_at = b"", 0
+    sweep = 0
+    while sweep < IPF_MAX_SWEEPS:
         for t, (pm, target) in enumerate(zip(maps, targets)):
             if t:
                 current = np.bincount(pm, weights=p, minlength=target.size)
@@ -139,10 +150,18 @@ def maxent_ipf(db: Database) -> RealDistribution:
                 current = marginal[: target.size]
             # 0 where the target is 0: the divisor is at least 1e-300
             p = p * (target / np.maximum(current, 1e-300))[pm]
+        sweep += 1
         marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
         deviation = float(np.abs(marginal - stacked_target).max(initial=0.0))
         if deviation < IPF_TOLERANCE:
             return RealDistribution(space, p / p.sum())
+        # bytes, not floats: a signed zero or a NaN payload is a different state
+        state = p.tobytes()
+        if state == saved:
+            period = sweep - saved_at
+            sweep += (IPF_MAX_SWEEPS - sweep) // period * period
+        elif sweep & (sweep - 1) == 0:
+            saved, saved_at = state, sweep
     raise ConvergenceError(
         f"marginal fitting did not converge in {IPF_MAX_SWEEPS} sweeps "
         f"(residual deviation {deviation:.3e}); the tables may be inconsistent"

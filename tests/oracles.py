@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -90,6 +91,43 @@ def ipf_reference(db: Database) -> RealDistribution:
         f"marginal fitting did not converge in {IPF_MAX_SWEEPS} sweeps "
         f"(residual deviation {deviation:.3e}); the tables may be inconsistent"
     )
+
+
+class _BincountSpy:
+    """numpy, except that ``bincount`` keeps the weights of its last call."""
+
+    numpy = np  # bound here, as the spy also stands in for this module's np
+    weights = None
+
+    def __getattr__(self, name):
+        return getattr(self.numpy, name)
+
+    def bincount(self, x, weights=None, minlength=0):
+        self.weights = weights
+        return self.numpy.bincount(x, weights=weights, minlength=minlength)
+
+
+def ipf_outcome(fit, db: Database) -> tuple[bytes | str, bytes]:
+    """What ``fit(db)`` ends with: (its joint's bytes or its error message, p).
+
+    ``p`` is the bytes of the iterate after the last sweep.  Both IPF loops
+    end a sweep with a ``bincount`` weighted by it (``maxent_ipf`` by
+    ``p[cells]``, whose first n entries are ``p``), so the numpy of ``fit``'s
+    module is wrapped for the call to keep those weights.  A fit that skips to
+    the wrong phase of a cycle shows only in ``p``: its message prints three
+    digits of a deviation that the phases share.
+    """
+    module = sys.modules[fit.__module__]
+    spy = _BincountSpy()
+    module.np = spy
+    try:
+        result = fit(db).p.tobytes()
+    except ConvergenceError as exc:
+        result = str(exc)
+    finally:
+        module.np = spy.numpy
+    p = b"" if spy.weights is None else spy.weights[: db.space.cell_count].tobytes()
+    return result, p
 
 
 def chain_cell_bounds(tables) -> tuple[np.ndarray, np.ndarray]:

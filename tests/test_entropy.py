@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from ivprob import (
     box_minent,
     conditional_entropy,
     constraints_from_database,
+    entropy,
     extension_star,
     kl_divergence,
     maxent_ipf,
@@ -34,9 +36,11 @@ from ivprob import (
     tighten,
 )
 
+import oracles
 from conftest import optimize_one
 from oracles import (
     entropy_bits,
+    ipf_outcome,
     ipf_reference,
     min_entropy_by_vertices,
     random_consistent_database,
@@ -221,6 +225,26 @@ def _real_table(space, p, names) -> IntervalDistribution:
     return IntervalDistribution(sub, m, m)
 
 
+def _binary_chain(ab, bc) -> Database:
+    """The chain ``V1,V2|V2,V3`` of binary variables with real tables ab and bc."""
+    sp = _grid_space((2, 2, 2))
+    return Database(
+        [
+            IntervalDistribution(sp.subspace(names), np.array(m), np.array(m))
+            for names, m in ((("V1", "V2"), ab), (("V2", "V3"), bc))
+        ]
+    )
+
+
+# Tables that disagree on V2: IPF's iterate repeats bit for bit with period 1
+# or 2 after a few sweeps, or drifts and never repeats before the cap.
+_REPEATING = {
+    "period-1": _binary_chain([0.3, 0.2, 0.1, 0.4], [0.2, 0.200000001, 0.3, 0.299999999]),
+    "period-2": _binary_chain([0.4, 0.1, 0.2, 0.3], [0.3, 0.200000002, 0.1, 0.399999998]),
+    "drifting": _binary_chain([0.1, 0.2, 0.3, 0.4], [0.15, 0.250000001, 0.2, 0.399999999]),
+}
+
+
 def _ipf_inputs():
     """(id, database, whether IPF converges) for the bit-for-bit comparison."""
     rng = np.random.default_rng(14)
@@ -262,6 +286,7 @@ def _ipf_inputs():
     out.append(("unheld-variable", Database(free, space=sp), True))
     out.append(("full-joint", Database([_real_table(sp, p, sp.names)]), True))
     out.append(("empty", Database((), space=sp), True))
+    out += [(name, db, False) for name, db in _REPEATING.items()]
     return out
 
 
@@ -269,15 +294,31 @@ def _ipf_inputs():
     "db, converges", [pytest.param(db, ok, id=name) for name, db, ok in _ipf_inputs()]
 )
 def test_ipf_matches_per_table_reference_bit_for_bit(db, converges):
-    def outcome(fit):
-        try:
-            return fit(db).p.tobytes()
-        except ConvergenceError as exc:
-            return str(exc)
+    got = ipf_outcome(maxent_ipf, db)
+    assert isinstance(got[0], bytes) == converges
+    assert got == ipf_outcome(ipf_reference, db)
 
-    got = outcome(maxent_ipf)
-    assert isinstance(got, bytes) == converges
-    assert got == outcome(ipf_reference)
+
+def test_ipf_skips_periods_up_to_an_odd_cap(monkeypatch):
+    # An odd cap ends the period-2 fit on the other joint of its cycle.
+    monkeypatch.setattr(entropy, "IPF_MAX_SWEEPS", 10_001)
+    monkeypatch.setattr(oracles, "IPF_MAX_SWEEPS", 10_001)
+    db = _REPEATING["period-2"]
+    assert ipf_outcome(maxent_ipf, db) == ipf_outcome(ipf_reference, db)
+
+
+@pytest.mark.parametrize("name", ["period-1", "period-2"])
+def test_ipf_stops_at_once_when_its_iterate_repeats(monkeypatch, name):
+    db = _REPEATING[name]
+    # 10**9 is even, like the default cap, so the fit ends in the same phase.
+    message, p = ipf_outcome(ipf_reference, db)
+    message = message.replace(f" {entropy.IPF_MAX_SWEEPS} sweeps", f" {10**9} sweeps")
+    assert message.startswith(f"marginal fitting did not converge in {10**9} sweeps")
+    monkeypatch.setattr(entropy, "IPF_MAX_SWEEPS", 10**9)
+    start = time.perf_counter()
+    got = ipf_outcome(maxent_ipf, db)
+    assert time.perf_counter() - start < 1.0  # 10**9 sweeps would take hours
+    assert got == (message, p)
 
 
 # ------------------------------------------------------------- box maxent ---

@@ -1,4 +1,4 @@
-"""Property tests for the two ends of the entropy range, u1 and u2."""
+"""Property tests for the two ends of the entropy range, u1 and u2, and for IPF."""
 
 from __future__ import annotations
 
@@ -9,15 +9,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from ivprob import (  # noqa: E402
+    Database,
     IntervalDistribution,
     Space,
     Variable,
     box_maxent,
     box_minent,
+    entropy,
+    maxent_ipf,
     shannon_entropy,
 )
 from ivprob.model import SUM_TOLERANCE  # noqa: E402
+from oracles import ipf_outcome, ipf_reference  # noqa: E402
 
 
 @st.composite
@@ -62,3 +67,53 @@ def test_entropy_range_ends_lie_in_the_box(i):
     for p in (top.p, bottom.p):
         assert np.all(p >= i.lower - atol) and np.all(p <= i.upper + atol)
     assert shannon_entropy(bottom) <= shannon_entropy(top) + 1e-12
+
+
+@st.composite
+def skewed_chains(draw):
+    """Real chains of 2-3 tables that disagree by k * 1e-9 on one shared cell.
+
+    The tables are consecutive pair marginals of a hidden joint.  One table
+    after the first then moves k * 1e-9 (k = 1-3) of mass between two of its
+    cells that differ only in the variable it shares with the table before.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=3, max_size=4))
+    assume(int(np.prod(sizes)) <= 24)
+    space = Space(
+        tuple(
+            Variable(f"V{k}", tuple(f"v{m}" for m in range(size)))
+            for k, size in enumerate(sizes)
+        )
+    )
+    n = space.cell_count
+    p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    p /= p.sum()
+    tables = [
+        np.bincount(space.projection_map(space.names[j : j + 2]), weights=p).reshape(
+            sizes[j : j + 2]
+        )
+        for j in range(len(sizes) - 1)
+    ]
+    t = draw(st.integers(1, len(tables) - 1))
+    x, other = draw(st.permutations(range(sizes[t])))[:2]
+    y = draw(st.integers(0, sizes[t + 1] - 1))
+    shift = draw(st.integers(1, 3)) * 1e-9
+    tables[t][x, y] -= shift
+    tables[t][other, y] += shift
+    return Database(
+        [
+            IntervalDistribution(space.subspace(space.names[j : j + 2]), m.ravel(), m.ravel())
+            for j, m in enumerate(tables)
+        ]
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(skewed_chains(), st.integers(1, 2_000))
+def test_ipf_matches_the_full_sweep_loop(db, cap):
+    # The cap is drawn too, so that whole periods are skipped towards caps of
+    # either parity and at any distance from the sweep a repeat is found at.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy, "IPF_MAX_SWEEPS", cap)
+        patch.setattr(oracles, "IPF_MAX_SWEEPS", cap)
+        assert ipf_outcome(maxent_ipf, db) == ipf_outcome(ipf_reference, db)
