@@ -167,9 +167,12 @@ def parse_document(text: str) -> IntervalDistribution | Database:
 
 
 def load_document(path) -> IntervalDistribution | Database:
-    """Read and parse a document file."""
+    """Read and parse a document file, which must be UTF-8 text."""
     with open(path, encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        try:
+            return parse_document(handle.read())
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def format_scalar(value: float) -> str:

@@ -22,10 +22,12 @@ database, and one with a table whose lower bounds sum above 1 or upper bounds
 below 1 in floats (the tolerance edge), keeps the joint LP: it maximizes
 ``-p_j`` and ``p_j`` for every joint cell ``j`` over the database polytope in
 one simplex call, one phase 1 for the polytope and then one phase 2 per
-endpoint still open.  An endpoint is open until some witness reaches its
-valid bound: 0 for ``-p_j``, and for ``p_j`` the least upper bound of the
-rows that hold the cell.  Every LP endpoint is attained by its LP witness or
-by the earlier witness that reached its bound.
+endpoint still open.  The ``2n`` objectives go to the solver as their ``2n``
+unit nonzeros, and only the ``2n`` values come back.  An endpoint is open
+until some witness reaches its valid bound: 0 for ``-p_j``, and for ``p_j``
+the least upper bound of the table cells that hold the cell (and 1).  Every
+LP endpoint is attained by its LP witness or by the earlier witness that
+reached its bound, and the solver checks each such witness at 1e-9.
 """
 
 from __future__ import annotations
@@ -124,14 +126,15 @@ def _joint_envelope(db: Database) -> IntervalDistribution:
     """``extension_star`` by the joint LP, for any database."""
     cs = constraints_from_database(db)
     n = cs.space.cell_count
-    # One simplex call maximizes the 2n rows of [-I; I]: its shared phase 1 is
-    # the feasibility probe, so an empty system fails with one clear error.
-    # No -p_j exceeds 0, and no p_j the system's cap on the cell; a witness
-    # that reaches such a bound proves that endpoint without its own LP.
-    objectives = np.zeros((2 * n, n))
-    np.fill_diagonal(objectives[:n], -1.0)
-    np.fill_diagonal(objectives[n:], 1.0)
-    result = optimize(cs, objectives, bounds=np.concatenate([np.zeros(n), cs.cell_upper()]))
+    # One simplex call maximizes -p_j (row j) and p_j (row n + j) for every
+    # cell: its shared phase 1 is the feasibility probe, so an empty system
+    # fails with one clear error.  No -p_j exceeds 0, and no p_j the least
+    # upper bound of the table cells that hold cell j; a witness that reaches
+    # such a bound proves that endpoint without its own LP.
+    caps = [t.upper[cs.space.projection_map(t.space.names)] for t in db.tables]
+    cap = np.min(caps + [np.ones(n)], axis=0)
+    objectives = (np.arange(2 * n), np.tile(np.arange(n), 2), np.repeat([-1.0, 1.0], n))
+    result = optimize(cs, objectives, np.concatenate([np.zeros(n), cap]))
     if result.status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",
@@ -155,8 +158,6 @@ def joint_intervals(db: Database) -> IntervalDistribution:
 def project_real(p: RealDistribution, onto) -> RealDistribution:
     """Marginal of ``p`` on the given variables, by fiber summation."""
     names = p.space.ordered_subset(onto)
-    if not names:
-        raise ValueError("projection requires at least one variable")
     sub = p.space.subspace(names)
     pm = p.space.projection_map(names)
     return RealDistribution(sub, np.bincount(pm, weights=p.p, minlength=sub.cell_count))
@@ -172,8 +173,6 @@ def project_interval(i: IntervalDistribution, onto) -> IntervalDistribution:
     plain marginal summation.
     """
     names = i.space.ordered_subset(onto)
-    if not names:
-        raise ValueError("projection requires at least one variable")
     return _box_envelope(i, i.space.projection_map(names), i.space.subspace(names))
 
 

@@ -38,8 +38,9 @@ from .errors import (
 #: programming carry float error of this magnitude at most).
 SUM_TOLERANCE = 1e-9
 #: Refuse spaces beyond this many joint cells, before any per-cell array is
-#: allocated: a database envelope stacks ``2n x n`` objectives, about 270 MB
-#: at this size.
+#: allocated.  A database envelope solves up to ``2n`` LPs over ``n`` columns:
+#: ``extend`` on a seeded (8,8,8,8) interval chain of this size takes about
+#: 30 s and peaks at about 61 MB RSS on a 2-core Xeon.
 SPACE_CELL_CAP = 4096
 
 

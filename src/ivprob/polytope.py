@@ -12,11 +12,11 @@ arrays with those column bounds straight to the bounded-variable simplex to
 compute exact maxima of linear objectives (a minimum is the maximum of the
 negated objective); this is the LP path behind the envelopes of databases
 whose tables share a variable.
-:func:`optimize` takes a matrix of objectives, and optionally an upper bound
-on each one's maximum, and makes one simplex call for all of them, so phase 1
-runs once per system; it returns that call's one
-:class:`~ivprob.simplex.SimplexResult` after one residual check of the whole
-witness matrix, which covers the rows that a reused witness proved.
+:func:`optimize` takes objectives by their nonzeros, with an upper bound on
+each one's maximum (NaN where none is known), and makes one simplex call for
+all of them, so phase 1 runs once per system; it returns that call's one
+:class:`~ivprob.simplex.SimplexResult`, the values only, every witness behind
+them checked by the solver where it was found.
 :func:`constraints_from_box` builds the system of an interval box
 ``{p : lower <= p <= upper, sum(p) = 1}`` as that of a one-table database
 over the box's own space.  Box envelopes have a closed form (see
@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .errors import SolverError
 from .model import Database, IntervalDistribution, Space, require_valid
 
 OPTIMAL = simplex.OPTIMAL
 INFEASIBLE = simplex.INFEASIBLE
 
-#: Witness residuals and objective agreement are enforced at this tolerance.
+#: Witness residuals are enforced at this tolerance.
 FEASIBILITY_TOL = simplex.FEASIBILITY_TOL
 
 
@@ -90,30 +89,10 @@ class ConstraintSystem:
         """Largest violation of any row or of the unit box at ``p``.
 
         ``p`` is one point or a ``k x n`` stack of points, one per row; the
-        stack's residual is the largest over its points.  Only the ``k x m``
-        row products are built, never a ``k x n`` temporary.
+        stack's residual is the largest over its points.  This is the check
+        that :func:`ivprob.simplex.solve` applies to every witness.
         """
-        ap = p @ self.a.T
-        rows = np.maximum(self.row_lower - ap, ap - self.row_upper)
-        bounds = max(-p.min(initial=0.0), p.max(initial=1.0) - 1.0)
-        return float(max(np.max(rows), bounds, 0.0))
-
-    def cell_upper(self) -> np.ndarray:
-        """A valid upper bound on each cell over the system.
-
-        A row whose coefficients are all 0 or 1, such as a fiber indicator,
-        caps each of its cells at the row's upper bound, since no cell is
-        negative; the unit box caps every cell at 1.  The bound of cell ``j``
-        is the least of these.  Only the nonzeros are read, so no ``m x n``
-        temporary is built.
-        """
-        rows, cols = np.nonzero(self.a)
-        indicator = np.ones(len(self.a), dtype=bool)
-        indicator[rows[self.a[rows, cols] != 1.0]] = False
-        keep = indicator[rows]
-        upper = np.ones(self.space.cell_count)
-        np.minimum.at(upper, cols[keep], self.row_upper[rows[keep]])
-        return upper
+        return simplex._residual(self.a, self.row_lower, self.row_upper, 0.0, 1.0, p)
 
 
 def constraints_from_database(db: Database) -> ConstraintSystem:
@@ -156,46 +135,29 @@ def constraints_from_box(i: IntervalDistribution) -> ConstraintSystem:
 
 
 def optimize(
-    cs: ConstraintSystem,
-    objectives: np.ndarray,
-    bounds: np.ndarray | None = None,
+    cs: ConstraintSystem, objectives: tuple, bounds: np.ndarray
 ) -> simplex.SimplexResult:
-    """Exact maximum of every row of the ``k x n`` matrix ``objectives`` over the system.
+    """Exact maximum of every objective row over the system, in one simplex call.
 
-    A minimum is the maximum of the negated row.  One simplex call solves all
-    rows, and its single phase 1 decides feasibility for all of them, so the
-    result is either infeasible as a whole or holds one checked witness per
-    row in ``x`` and its value in ``objective``.  The feasible region is
-    inside the unit box, so an unbounded program, or a witness off the system
-    by more than ``FEASIBILITY_TOL``, indicates a solver bug and raises
-    :class:`SolverError`.  :func:`ivprob.simplex.solve` checks the shape and
-    finiteness of ``objectives``.
-
-    ``bounds``, if given, holds an upper bound on each row's maximum (NaN
-    where none is known); a row whose bound an earlier witness reaches takes
-    that witness without an LP of its own (see :func:`ivprob.simplex.solve`).
+    ``objectives`` holds the rows' ``(row, cell, coef)`` nonzeros and
+    ``bounds`` one upper bound per row, NaN where none is known, as
+    :func:`ivprob.simplex.solve` takes them with the unit box as column
+    bounds.  A minimum is the maximum of the negated row.  The single phase 1
+    decides feasibility for all rows, so the result is infeasible as a whole
+    or holds every row's value, each attained by a witness that the solver
+    checked.  The feasible region is inside the unit box, so an unbounded
+    program or a witness that fails its check indicates a solver bug and
+    raises :class:`~ivprob.errors.SolverError`.
     """
     n = cs.space.cell_count
-    objs = np.asarray(objectives, dtype=np.float64)
-    res = simplex.solve(
-        cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objs, bounds=bounds
+    return simplex.solve(
+        cs.a, cs.row_lower, cs.row_upper, np.zeros(n), np.ones(n), objectives, bounds
     )
-    if res.status != OPTIMAL:
-        return res
-    x = res.x
-    x[(x < 0.0) & (x > -FEASIBILITY_TOL)] = 0.0
-    resid = cs.max_residual(x)
-    if resid > FEASIBILITY_TOL:
-        raise SolverError(f"witness violates constraints by {resid}")
-    return simplex.SimplexResult(OPTIMAL, x, np.einsum("ij,ij->i", objs, x), 0.0)
 
 
 def is_consistent(db: Database) -> bool:
     """True iff some joint distribution satisfies every table of ``db``.
 
-    The zero objective's bound 0 is reached by any feasible point, so the
-    probe stops after phase 1.
+    The probe has no objective row, so it stops after phase 1.
     """
-    cs = constraints_from_database(db)
-    probe = optimize(cs, np.zeros((1, cs.space.cell_count)), bounds=[0.0])
-    return probe.status == OPTIMAL
+    return optimize(constraints_from_database(db), ((), (), ()), ()).status == OPTIMAL

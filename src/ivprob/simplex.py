@@ -1,6 +1,6 @@
 """Bounded-variable primal simplex for small dense linear programs.
 
-Solves, for every row ``c`` of a ``k x n`` cost matrix,
+Solves, for each of ``k`` objective rows ``c``, given by their nonzeros,
 
     maximize  c . x
     s.t.      row_lower <= A x <= row_upper    (ranged rows; equal bounds make
@@ -30,22 +30,24 @@ Phase 1 starts from ``x = lo``.  A row whose start ``A lo`` lies in its range
 puts its logical in the basis; any other row fixes its logical at the violated
 bound and puts an artificial variable in the basis, whose value is the gap.
 Phase 1 does not depend on the objective, so it runs once per system, and
-every cost row's phase 2 starts from a copy of the phase-1 basis, its bound
-flags and its inverse, which is computed once.  An envelope sweep over one
-polytope thus pays for one feasibility search, not one per objective (the
+every objective row's phase 2 starts from a copy of the phase-1 basis, its
+bound flags and its inverse, which is computed once.  An envelope sweep over
+one polytope thus pays for one feasibility search, not one per objective (the
 warm start for re-optimizing one polytope, Chvátal, *Linear Programming*,
-1983, ch. 8).  One call returns one :class:`SimplexResult` for all rows.
-A minimum is the maximum of the negated row (Chvátal 1983), so a caller that
-wants one passes ``-c`` and negates the value it gets back.
+1983, ch. 8).  One call returns one :class:`SimplexResult`: every row's
+value, and no witness.  A minimum is the maximum of the negated row (Chvátal
+1983), so a caller that wants one negates the row and the value it gets back.
 
-A caller may pass an upper bound on each row's maximum.  Every witness, the
-phase-1 vertex first, is a feasible point, so a row whose bound a witness
-already reaches is optimal there and is not solved: that witness becomes its
-row of the result (witness reuse, as in flux variability analysis,
-Gudmundsson & Thiele, BMC Bioinformatics 11:489, 2010).  A row that is
-solved has a witness bit-identical to a solve with that row alone; a proved
-row's value is the earlier witness's, which can differ from its own LP's in
-the last bits.
+Each row comes with an upper bound on its maximum, NaN where none is known.
+Every witness, the phase-1 vertex first, is a feasible point, so a row whose
+bound a witness already reaches is optimal there and is not solved: its value
+is taken at that witness (witness reuse, as in flux variability analysis,
+Gudmundsson & Thiele, BMC Bioinformatics 11:489, 2010).  A row that is solved
+has the value of a solve with that row alone, bit for bit; a proved row's
+value is the earlier witness's, which can differ from its own LP's in the
+last bits.  Every witness is checked against the rows and the column bounds
+where it is found, in stacks of at most one per constraint row, so the check
+never holds more than the constraint matrix does.
 
 Vertices are reached exactly (up to float rounding of the input data), which
 downstream callers rely on for witness feasibility at tight tolerances.
@@ -74,9 +76,7 @@ _REFACTOR_INTERVAL = 32
 @dataclass(frozen=True)
 class SimplexResult:
     status: str
-    #: One optimal witness per cost row (``k x n``) when optimal.
-    x: np.ndarray | None
-    #: One optimal value per cost row when optimal.
+    #: One optimal value per objective row when optimal.
     objective: np.ndarray | None
     #: Phase-1 optimum (total residual constraint violation) when infeasible.
     infeasibility: float
@@ -88,41 +88,45 @@ def solve(
     row_upper: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    costs: np.ndarray,
-    bounds: np.ndarray | None = None,
+    objectives: tuple,
+    bounds: np.ndarray,
 ) -> SimplexResult:
-    """Maximize each row of the ``k x n`` cost matrix ``costs``; see module docstring.
+    """Maximize every objective row; see module docstring.
 
-    The one result holds row ``r``'s witness in ``x[r]`` and its value in
-    ``objective[r]``; all rows share one phase 1, so an infeasible system
-    gives one infeasible result.  Crossed bounds, of a column or of a row,
-    make the system infeasible with the largest crossing as its
-    ``infeasibility``.
-
-    ``bounds[r]``, when given and not NaN, is an upper bound on row ``r``'s
-    maximum: no feasible point exceeds it.  A row whose bound the phase-1
-    vertex or an earlier row's witness already reaches is not solved; that
-    point is its witness.
+    ``objectives`` holds the rows' nonzeros as three equal-length vectors
+    ``(rows, cols, coefs)``: row ``rows[i]`` has coefficient ``coefs[i]`` on
+    column ``cols[i]``, and repeated pairs add up.  ``bounds[r]`` is an upper
+    bound on row ``r``'s maximum (no feasible point exceeds it), NaN where
+    none is known; there are ``len(bounds)`` rows.  The result holds row
+    ``r``'s value in ``objective[r]``; all rows share one phase 1, so an
+    infeasible system gives one infeasible result.  Crossed bounds, of a
+    column or of a row, make the system infeasible with the largest crossing
+    as its ``infeasibility``.  A witness off a row range or a column bound by
+    more than ``FEASIBILITY_TOL`` raises :class:`SolverError`.
     """
     a = np.asarray(a, dtype=np.float64)
-    costs = np.asarray(costs, dtype=np.float64)
     m, n = a.shape
     if m == 0:
         raise ValueError("at least one constraint row is required")
-    if costs.ndim != 2 or costs.shape[1] != n:
-        raise ValueError(f"costs must be a matrix with one coefficient per column ({n})")
-    if not np.all(np.isfinite(costs)):
-        raise ValueError("cost coefficients must be finite")
-    k = len(costs)
-    bounds = np.full(k, np.nan) if bounds is None else np.asarray(bounds, dtype=np.float64)
-    if bounds.shape != (k,):
-        raise ValueError(f"expected one bound per cost row ({k})")
+    bounds = np.array(bounds, dtype=np.float64)  # a copy: phase 2 lowers solved rows' bounds
+    if not isinstance(objectives, tuple):  # a dense 3 x n matrix would unpack by rows
+        raise ValueError("objectives must be a (rows, cols, coefs) tuple of nonzeros")
+    types = (np.intp, np.intp, np.float64)
+    rows, cols, coefs = (np.asarray(v, t) for v, t in zip(objectives, types, strict=True))
+    if bounds.ndim != 1 or rows.ndim != 1 or not rows.shape == cols.shape == coefs.shape:
+        raise ValueError("expected a bound per row, and a row, column and coefficient per nonzero")
+    k = len(bounds)
+    order = np.argsort(rows, kind="stable")  # each row's nonzeros together, in their order
+    rows, cols, coefs = rows[order], cols[order], coefs[order]
+    inside = not rows.size or (0 <= rows[0] and rows[-1] < k and 0 <= cols.min() and cols.max() < n)
+    if not (inside and np.isfinite(coefs).all()):
+        raise ValueError(f"objective nonzeros must be finite and index {k} rows and {n} columns")
 
     # Extended problem: structural | one logical per row | artificials.
     lo_x = np.concatenate([lo, row_lower]).astype(np.float64)
     hi_x = np.concatenate([hi, row_upper]).astype(np.float64)
     if np.any(lo_x > hi_x):
-        return SimplexResult(INFEASIBLE, None, None, float(np.max(lo_x - hi_x)))
+        return SimplexResult(INFEASIBLE, None, float(np.max(lo_x - hi_x)))
 
     # Nonbasic start: structural at lower bound.  A row whose start lies
     # outside its range rests its logical at the violated bound and takes a
@@ -148,39 +152,72 @@ def solve(
     basis, at_upper, x = _iterate(ax, lo_x, hi_x, c1, basis, at_upper, _invert(ax, basis))
     infeas = float(x[art0:].sum())
     if infeas > FEASIBILITY_TOL:
-        return SimplexResult(INFEASIBLE, None, None, infeas)
+        return SimplexResult(INFEASIBLE, None, infeas)
 
-    # A witness proves every open row whose bound its value reaches, in plain
-    # float comparison; a NaN bound is never reached.  Values are summed over
-    # the nonzeros of the cost matrix, so one check costs O(nonzeros), not a
-    # k x n product.
-    xs = np.empty((k, n))
+    # Witnesses are copied into a stack of m rows, checked whenever it fills,
+    # so the check holds no more than the constraint matrix does and no
+    # kernel point outlives its run.  A witness settles every open row
+    # whose bound its value reaches, in plain float comparison (a NaN bound is
+    # never reached), at that value.  Values are summed over the nonzeros, so
+    # one witness costs O(nonzeros), not a k x n product.
+    stack = np.empty((m, n))
+    held = 0  # witnesses in the stack, not yet checked
+    value = np.empty(k)
     todo = np.ones(k, dtype=bool)
-    rows, cols = np.nonzero(costs)
-    coefs = costs[rows, cols]
 
-    def prove(w):
-        reached = todo & (np.bincount(rows, coefs * w[cols], minlength=k) >= bounds)
-        xs[reached] = w
+    def check():
+        nonlocal held
+        resid = _residual(a, row_lower, row_upper, lo, hi, stack[:held])
+        held = 0
+        if not resid <= FEASIBILITY_TOL:  # a NaN residual fails too
+            raise SolverError(f"witness violates constraints by {resid}")
+
+    def settle(w):
+        nonlocal held
+        stack[held] = w
+        held += 1
+        if held == m:
+            check()
+        values = np.bincount(rows, coefs * w[cols], minlength=k)
+        reached = todo & (values >= bounds)
+        np.copyto(value, values, where=reached)
         todo[reached] = False
 
-    prove(x[:n])
+    settle(x[:n])
 
     # Phase 2: pin artificials at zero and optimize each open row from copies
     # of the phase-1 basis, bound flags and basis inverse (_iterate overwrites
-    # them).
+    # them).  A row's costs are scattered from lists: it has few nonzeros,
+    # and a Python loop over them beats numpy's per-call overhead.
     hi_x[art0:] = 0.0
     binv = _invert(ax, basis) if todo.any() else None
+    starts = np.searchsorted(rows, np.arange(k + 1)).tolist()
+    col_list, coef_list = cols.tolist(), coefs.tolist()
     for r in range(k):
         if not todo[r]:
             continue
         c2 = np.zeros(len(lo_x))
-        c2[:n] = costs[r]
+        for i in range(starts[r], starts[r + 1]):
+            c2[col_list[i]] += coef_list[i]
         _, _, x = _iterate(ax, lo_x, hi_x, c2, basis.copy(), at_upper.copy(), binv.copy())
-        xs[r] = x[:n]
-        todo[r] = False
-        prove(x[:n])
-    return SimplexResult(OPTIMAL, xs, np.einsum("ij,ij->i", costs, xs), 0.0)
+        bounds[r] = -np.inf  # so that its own witness settles it
+        settle(x[:n])
+    if held:
+        check()
+    return SimplexResult(OPTIMAL, value, 0.0)
+
+
+def _residual(a, row_lower, row_upper, lo, hi, points):
+    """Largest violation of a row range or a column bound by a point or a stack of points.
+
+    Only row products and column-wise extremes are built, never a temporary
+    the size of the stack.
+    """
+    points = np.atleast_2d(points)
+    ap = points @ a.T
+    # A NaN in a point makes the first term NaN, which max() then returns.
+    return float(max((lo - points.min(axis=0)).max(), (points.max(axis=0) - hi).max(),
+                     (row_lower - ap).max(), (ap - row_upper).max(), 0.0))
 
 
 def _invert(ax, basis):

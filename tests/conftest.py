@@ -173,17 +173,36 @@ def assert_intervals_close(actual, expected, atol=1e-9):
     np.testing.assert_allclose(actual.upper, expected.upper, atol=atol, rtol=0.0)
 
 
+def nonzeros(costs):
+    """The ``(row, cell, coef)`` nonzeros of a dense ``k x n`` cost matrix."""
+    costs = np.asarray(costs, dtype=float)
+    rows, cols = np.nonzero(costs)
+    return rows, cols, costs[rows, cols]
+
+
+def optimize_rows(cs, costs):
+    """``optimize`` for every row of a dense cost matrix, with no known bounds."""
+    return optimize(cs, nonzeros(costs), np.full(len(costs), np.nan))
+
+
 def optimize_one(cs, objective, direction):
     """``optimize`` for the one objective vector: row 0 of a one-row batch.
 
     ``direction`` is ``"max"`` or ``"min"``; a minimum is found as the
-    maximum of the negated objective, and its value negated back.
+    maximum of the negated objective, and its value negated back.  The row
+    carries no bound, so its own phase 2 runs last: with ``kernel_runs``,
+    ``last_witness(kernel_runs, n)`` is its witness.
     """
     sign = {"max": 1.0, "min": -1.0}[direction]
-    res = optimize(cs, sign * np.asarray(objective, dtype=float)[None, :])
+    res = optimize_rows(cs, sign * np.asarray(objective, dtype=float)[None, :])
     if res.status != OPTIMAL:
         return res
-    return SimplexResult(res.status, res.x[0], sign * res.objective[0], res.infeasibility)
+    return SimplexResult(res.status, sign * res.objective[0], res.infeasibility)
+
+
+def last_witness(runs, n):
+    """The structural part of the point that the last recorded kernel run ended at."""
+    return runs[-1][1][2][:n]
 
 
 @pytest.fixture
@@ -205,6 +224,24 @@ def kernel_runs(monkeypatch):
 
     monkeypatch.setattr(simplex, "_iterate", recording)
     return runs
+
+
+def shift_kernel_end(monkeypatch, run):
+    """Patch ``simplex._iterate`` so that its run number ``run`` (from 0) ends 1e-6 off.
+
+    The first column of that run's end point moves, so the witness breaks
+    the normalization row.
+    """
+    iterate, runs = simplex._iterate, []
+
+    def shifted(*args):
+        basis, at_upper, x = iterate(*args)
+        if len(runs) == run:
+            x[0] += 1e-6
+        runs.append(None)
+        return basis, at_upper, x
+
+    monkeypatch.setattr(simplex, "_iterate", shifted)
 
 
 def assert_runs_follow_three_solve_kernel(runs):

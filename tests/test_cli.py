@@ -11,6 +11,8 @@ import pytest
 from ivprob import parse_document
 from ivprob.cli import main
 
+from conftest import shift_kernel_end
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -39,6 +41,16 @@ def test_validate_malformed_document(capsys):
     code, out, err = run(capsys, "validate", FIXTURES / "malformed.json")
     assert code == 2
     assert "error" in err
+
+
+def test_validate_non_utf8_document_exits_2(capsys, tmp_path):
+    # A label holding byte 0xff is malformed input, not a domain failure.
+    text = (FIXTURES / "db_d.json").read_bytes().replace(b'"x1"', b'"x\xff"')
+    path = tmp_path / "latin.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -458,17 +470,10 @@ def test_disjoint_tables_extend_without_the_solver(capsys, monkeypatch):
     assert out == example[: example.index("\n\n") + 1]
 
 
-def test_bad_last_witness_exits_3(capsys, monkeypatch):
-    import ivprob.simplex
-
-    solve = ivprob.simplex.solve
-
-    def last_witness_off(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.x[-1, 0] += 1e-6  # breaks the normalization of the last witness only
-        return res
-
-    monkeypatch.setattr(ivprob.simplex, "solve", last_witness_off)
+def test_bad_last_witness_exits_3(capsys, monkeypatch, kernel_runs):
+    assert run(capsys, "extend", FIXTURES / "db_i.json")[0] == 0
+    # Breaks the normalization of the last witness only.
+    shift_kernel_end(monkeypatch, len(kernel_runs) - 1)
     code, out, err = run(capsys, "extend", FIXTURES / "db_i.json")
     assert code == 3
     assert out == ""

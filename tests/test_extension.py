@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from ivprob import (
     extension_star,
     is_more_informative,
     joint_intervals,
-    optimize,
     project_database,
     project_interval,
     project_real,
@@ -34,7 +35,9 @@ from ivprob.polytope import FEASIBILITY_TOL
 from conftest import (
     assert_intervals_close,
     assert_runs_follow_three_solve_kernel,
+    last_witness,
     optimize_one,
+    optimize_rows,
 )
 from oracles import (
     chain_cell_bounds,
@@ -219,7 +222,7 @@ def test_tighten_is_idempotent():
         np.testing.assert_allclose(twice.upper, once.upper, atol=1e-9)
 
 
-def test_envelope_contains_all_witnesses_and_attains_endpoints():
+def test_envelope_contains_all_witnesses_and_attains_endpoints(kernel_runs):
     rng = np.random.default_rng(53)
     for _ in range(8):
         sp = random_space(rng, max_cells=6, max_variables=2)
@@ -232,10 +235,10 @@ def test_envelope_contains_all_witnesses_and_attains_endpoints():
             obj[cell] = 1.0
             for direction, endpoint in (("min", env.lower[cell]), ("max", env.upper[cell])):
                 out = optimize_one(cs, obj, direction)
-                assert out.x is not None
-                assert cs.max_residual(out.x) <= FEASIBILITY_TOL
+                x = last_witness(kernel_runs, n)
+                assert cs.max_residual(x) <= FEASIBILITY_TOL
                 assert out.objective == pytest.approx(endpoint, abs=1e-9)
-                witness = RealDistribution(cs.space, out.x)
+                witness = RealDistribution(cs.space, x)
                 assert is_more_informative(witness.as_interval(), env, atol=1e-9)
 
 
@@ -614,7 +617,7 @@ def test_chain_cell_maximum_is_below_every_table_maximum():
         == t.space.cell_index([label for label in cell if label[0].upper() in t.space.names])
         for t in db.tables
     ]
-    maxima = optimize(constraints_from_database(db), np.array(fibers, dtype=float)).objective
+    maxima = optimize_rows(constraints_from_database(db), np.array(fibers, dtype=float)).objective
     np.testing.assert_allclose(maxima, [0.34, 0.39, 0.33], atol=1e-12, rtol=0.0)
     upper = extension_star(db).upper[space.cell_index(cell)]
     assert upper == pytest.approx(0.26, abs=1e-12)
@@ -632,6 +635,22 @@ def test_extension_star_matches_closed_form_bounds_on_real_chains():
         np.testing.assert_allclose(env.upper, upper, atol=1e-15, rtol=0.0)
 
 
+def test_envelope_sweep_holds_no_endpoint_by_cell_array():
+    # The 2n endpoint objectives go to the solver by their nonzeros and only
+    # their values come back, so the sweep over this 512-cell chain never
+    # holds a 2n x n float array: dense objectives or witnesses would take
+    # 4 MiB each.
+    db = _chain_database(np.random.default_rng(431), (8, 8, 8), "interval")
+    n = db.space.cell_count
+    tracemalloc.start()
+    try:
+        extension_star(db)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
+
+
 def test_kept_inverse_follows_the_three_solve_pivot_path_on_chains(kernel_runs):
     rng = np.random.default_rng(23)
     for shape in ((3, 3), (2, 3, 4), (4, 4, 3)):
@@ -640,29 +659,24 @@ def test_kept_inverse_follows_the_three_solve_pivot_path_on_chains(kernel_runs):
     assert_runs_follow_three_solve_kernel(kernel_runs)
 
 
-def test_refactorized_inverse_keeps_witnesses_exact(monkeypatch):
+def test_refactorized_inverse_keeps_witnesses_exact(monkeypatch, kernel_runs):
     from ivprob import simplex
 
     db = _chain_database(np.random.default_rng(5), (6, 6, 6), "real")
-    inversions, witnesses = [], []
-    invert, solve = simplex._invert, simplex.solve
+    inversions = []
+    invert = simplex._invert
 
     def counting_invert(*args):
         inversions.append(None)
         return invert(*args)
 
-    def keeping_solve(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        witnesses.append(res.x.copy())
-        return res
-
     monkeypatch.setattr(simplex, "_invert", counting_invert)
-    monkeypatch.setattr(simplex, "solve", keeping_solve)
     env = extension_star(db)
     # One inverse starts phase 1 and one starts every phase 2; any other is a
     # refactorization, so some run changed its basis _REFACTOR_INTERVAL times.
     assert len(inversions) > 2
-    assert constraints_from_database(db).max_residual(witnesses[0]) <= 1e-9
+    witnesses = np.array([end[2][: env.space.cell_count] for _, end in kernel_runs])
+    assert constraints_from_database(db).max_residual(witnesses) <= 1e-9
 
     def three_solve(ax, lo_x, hi_x, cost, basis, at_upper, binv):
         return three_solve_iterate(ax, lo_x, hi_x, cost, basis, at_upper)

@@ -25,7 +25,7 @@ from ivprob import (
 )
 from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
 
-from conftest import optimize_one
+from conftest import last_witness, nonzeros, optimize_one, optimize_rows, shift_kernel_end
 from oracles import (
     grid_linear_range,
     random_consistent_database,
@@ -248,106 +248,71 @@ def test_database_rows_follow_tables_and_cells_in_order():
         np.testing.assert_array_equal(cs.row_upper, row_upper)
 
 
-def test_cell_upper_is_the_least_upper_bound_of_indicator_rows(space_x):
-    rng = np.random.default_rng(307)
-    for _ in range(40):
-        space = random_space(rng, max_cells=8)
-        names = list(space.names)
-        tables = []
-        for _ in range(int(rng.integers(1, 4))):
-            size = int(rng.integers(1, len(names) + 1))
-            subset = tuple(names[k] for k in rng.permutation(len(names))[:size])
-            tables.append(_mixed_table(rng, space, subset))
-        cs = constraints_from_database(Database(tuple(tables), space=space))
-        # Cell j lies in fiber pm[j] of each table, whose row caps it.
-        want = np.ones(space.cell_count)
-        for table in tables:
-            want = np.minimum(want, table.upper[space.projection_map(table.space.names)])
-        np.testing.assert_array_equal(cs.cell_upper(), want)
-        # The tables come from different joints, so some systems are empty.
-        res = optimize(cs, np.eye(space.cell_count))
-        if res.status == OPTIMAL:
-            assert np.all(res.objective <= want)
-
-    # Only rows of 0/1 coefficients cap their cells.
-    np.testing.assert_array_equal(
-        _with_normalization(space_x, [0.0, 1.0], 0.0, 0.3).cell_upper(), [1.0, 0.3]
-    )
-    for coef in ([0.5, 1.0], [2.0, 0.0], [1.0, -1.0]):
-        np.testing.assert_array_equal(
-            _with_normalization(space_x, coef, 0.0, 0.3).cell_upper(), [1.0, 1.0]
-        )
-
-
-def test_optimize_marginal_cell_over_degenerate_database(db_d):
+def test_optimize_marginal_cell_over_degenerate_database(db_d, kernel_runs):
     cs = constraints_from_database(db_d)
     obj = np.array([1.0, 0.0, 0.0, 0.0])  # p(x1, y1)
     top = optimize_one(cs, obj, "max")
+    witness = last_witness(kernel_runs, 4)
     bot = optimize_one(cs, obj, "min")
     assert top.status == OPTIMAL and bot.status == OPTIMAL
     assert top.objective == pytest.approx(0.6, abs=1e-9)
     assert bot.objective == pytest.approx(0.3, abs=1e-9)
-    assert top.x is not None
-    assert cs.max_residual(top.x) <= FEASIBILITY_TOL
+    assert witness @ obj == top.objective
+    assert cs.max_residual(witness) <= FEASIBILITY_TOL
 
 
 def test_optimize_rejects_bad_objectives(db_d):
     cs = constraints_from_database(db_d)
-    with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.array([[1.0, 0.0]]))
+    one = [np.nan]
+    with pytest.raises(ValueError, match="columns"):
+        optimize(cs, ([0], [4], [1.0]), one)
     with pytest.raises(ValueError, match="finite"):
-        optimize(cs, np.array([[1.0, 0.0, 0.0, np.inf]]))
-    # A flat vector is refused like any other non-matrix.
-    with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.array([1.0, 0.0, 0.0, 0.0]))
-    # Shape, finite values and one bound per row.
-    with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.zeros((2, 3)))
+        optimize(cs, ([0], [3], [np.inf]), one)
     with pytest.raises(ValueError, match="finite"):
-        optimize(cs, np.array([[1.0, 0.0, 0.0, np.nan]]))
-    with pytest.raises(ValueError, match="bound"):
-        optimize(cs, np.zeros((2, 4)), bounds=[0.0])
-    with pytest.raises(ValueError, match="matrix"):
-        optimize(cs, np.zeros((1, 1, 4)))
+        optimize(cs, ([0], [3], [np.nan]), one)
+    # Nonzeros come as three vectors of one length.
+    with pytest.raises(ValueError, match="per nonzero"):
+        optimize(cs, ([0, 0], [0, 1], [1.0]), one)
+    with pytest.raises(ValueError, match="per nonzero"):
+        optimize(cs, ([[0]], [[0]], [[1.0]]), one)
+    # One bound per row: a row past the bounds has none.
+    with pytest.raises(ValueError, match="1 rows"):
+        optimize(cs, ([0, 1], [0, 0], [1.0, 1.0]), one)
+    with pytest.raises(ValueError, match="bound per row"):
+        optimize(cs, ([0], [0], [1.0]), [one])
 
 
-def test_optimize_objective_matrix_matches_single_calls(db_d, db_i):
+def test_optimize_objective_matrix_matches_single_calls(db_d, db_i, kernel_runs):
     rng = np.random.default_rng(41)
     for db in (db_d, db_i):
         cs = constraints_from_database(db)
-        objs = rng.normal(size=(6, cs.space.cell_count))
-        many = optimize(cs, objs)
+        n = cs.space.cell_count
+        objs = rng.normal(size=(6, n))
+        kernel_runs.clear()
+        many = optimize_rows(cs, objs)
         assert many.status == OPTIMAL
-        assert many.x.shape == objs.shape and many.objective.shape == (len(objs),)
-        for obj, x, value in zip(objs, many.x, many.objective):
+        assert many.objective.shape == (len(objs),)
+        witnesses = [end[2][:n] for _, end in kernel_runs[1:]]
+        for obj, x, value in zip(objs, witnesses, many.objective):
             one = optimize_one(cs, obj, "max")
             assert one.status == OPTIMAL
             assert value == one.objective
-            np.testing.assert_array_equal(x, one.x)
+            np.testing.assert_array_equal(x, last_witness(kernel_runs, n))
             # The max of a row is the min of its negation, on the same witness.
             low = optimize_one(cs, -obj, "min")
             assert low.objective == -value
-            np.testing.assert_array_equal(low.x, x)
+            np.testing.assert_array_equal(last_witness(kernel_runs, n), x)
             assert cs.max_residual(x) <= FEASIBILITY_TOL
 
 
-def test_optimize_checks_every_witness_of_the_batch(db_i, monkeypatch):
-    from ivprob import simplex
-
-    solve = simplex.solve
-
-    def last_witness_off(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.x[-1, 0] += 1e-6  # the last witness now sums to 1 + 1e-6
-        return res
-
+def test_optimize_checks_every_witness_of_the_batch(db_i, monkeypatch, kernel_runs):
     cs = constraints_from_database(db_i)
-    objs = np.eye(cs.space.cell_count)
-    monkeypatch.setattr(simplex, "solve", last_witness_off)
+    n = cs.space.cell_count
+    objs, bounds = nonzeros(np.eye(n)), np.full(n, np.nan)
+    assert optimize(cs, objs, bounds).status == OPTIMAL
+    shift_kernel_end(monkeypatch, len(kernel_runs) - 1)  # the last witness sums to 1 + 1e-6
     with pytest.raises(SolverError, match="witness violates constraints"):
-        optimize(cs, objs)
-    monkeypatch.undo()
-    assert optimize(cs, objs).status == OPTIMAL
+        optimize(cs, objs, bounds)
 
 
 def test_optimize_detects_contradictory_bounds(space_x):
@@ -479,9 +444,9 @@ def test_infeasibility_magnitude_reported(space_x):
     cs = constraints_from_database(Database((t1, t2)))
     out = optimize_one(cs, np.zeros(2), "max")
     assert out.status == INFEASIBLE
-    many = optimize(cs, np.vstack([-np.eye(2), np.eye(2)]))
+    many = optimize_rows(cs, np.vstack([-np.eye(2), np.eye(2)]))
     assert many.status == INFEASIBLE
-    assert many.x is None and many.objective is None
+    assert many.objective is None
     assert many.infeasibility == out.infeasibility
     # The reported magnitude can never undercut the true minimal L1 violation,
     # which is 1.0 for these clashing tables (attained at p = (0.45, 0.55)).
