@@ -4,9 +4,9 @@ The package models per-cell probability intervals, computes the exact joint
 envelopes a database of (interval) marginal tables admits, projects and
 reconstructs distributions across database schemes, and quantifies the
 uncertainty and information loss involved — all exact, not endpoint
-arithmetic: single-table bounds and envelopes of tables that share no
-variable in closed form, every other database envelope by linear
-programming.
+arithmetic: single-table bounds in closed form, and a database envelope as
+the Fréchet combination of its components' envelopes, by linear programming
+only for components of overlapping tables and at the float tolerance edge.
 """
 
 from .errors import (

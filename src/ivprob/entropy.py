@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, EnumerationLimitError, SpaceMismatchError
+from .extension import project_real
 from .model import (
     Database,
     IntervalDistribution,
@@ -44,8 +45,6 @@ def _split_variables(p: RealDistribution, target, given) -> tuple[tuple, tuple]:
     given = tuple(given)  # read a one-shot iterable once
     target_names = p.space.ordered_subset(target)
     given_names = p.space.ordered_subset(given) if given else ()
-    if not target_names:
-        raise ValueError("conditional entropy requires a non-empty target set")
     overlap = set(target_names) & set(given_names)
     if overlap:
         raise ValueError(
@@ -60,8 +59,6 @@ def conditional_entropy(p: RealDistribution, target, given) -> float:
     ``given`` may be empty, in which case this is the marginal entropy of
     ``target``.  Both sets must be disjoint subsets of ``p``'s variables.
     """
-    from .extension import project_real
-
     target_names, given_names = _split_variables(p, target, given)
     joint = project_real(p, target_names + given_names)
     h_joint = shannon_entropy(joint)

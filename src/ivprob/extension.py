@@ -12,22 +12,25 @@ the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
 Huete & Moral, IJUFKS 1994).
 
-A database whose tables share no variable has a closed-form envelope too.
-Any tuple of distributions of such tables is the marginal tuple of some
-joint, so a joint cell ``x`` is bounded by the Fréchet bounds (Fréchet 1951)
-over the tables' reachable bounds ``[l_C, u_C]``: at most ``min_C u_C(x_C)``
-and at least ``max(0, sum_C l_C(x_C) - (k - 1))`` over ``k`` tables, where
-ambient variables in no table form one more, vacuous, table.  Every other
-database, and one with a table whose lower bounds sum above 1 or upper bounds
-below 1 in floats (the tolerance edge), keeps the joint LP: it maximizes
-``-p_j`` and ``p_j`` for every joint cell ``j`` over the database polytope in
-one simplex call, one phase 1 for the polytope and then one phase 2 per
-endpoint still open.  The ``2n`` objectives go to the solver as their ``2n``
-unit nonzeros, and only the ``2n`` values come back.  An endpoint is open
-until some witness reaches its valid bound: 0 for ``-p_j``, and for ``p_j``
-the least upper bound of the table cells that hold the cell (and 1).  Every
-LP endpoint is attained by its LP witness or by the earlier witness that
-reached its bound, and the solver checks each such witness at 1e-9.
+A database's envelope combines those of its components, the groups of tables
+linked by shared variables.  Tables on disjoint variable sets couple freely
+(Fréchet 1951; Vorob'ev 1962), so a joint cell ``x`` is bounded by the Fréchet
+bounds over the components' envelopes ``[l_C, u_C]``: at most
+``min_C u_C(x_C)`` and at least ``max(0, sum_C l_C(x_C) - (k - 1))`` over
+``k`` factors, where the ambient variables in no table form one more factor, of
+lower bound 0, unless they have a single cell.  A one-table component's
+envelope is its reachable bounds; any other comes from the joint LP over the
+component's variables, as does the whole database's when a table's lower
+bounds sum above 1 or its upper bounds below 1 in floats (the tolerance edge).
+The joint LP maximizes ``-p_j`` and ``p_j`` for every joint cell ``j`` over
+the database polytope in one simplex call, one phase 1 for the polytope and
+then one phase 2 per endpoint still open.  The ``2n`` objectives go to the
+solver as their ``2n`` unit nonzeros, and only the ``2n`` values come back.
+An endpoint is open until some witness reaches its valid bound: 0 for
+``-p_j``, and for ``p_j`` the least upper bound of the table cells that hold
+the cell (and 1).  Every LP endpoint is attained by its LP witness or by the
+earlier witness that reached its bound, and the solver checks each such
+witness at 1e-9.
 """
 
 from __future__ import annotations
@@ -79,47 +82,47 @@ def extension_star(db: Database) -> IntervalDistribution:
     For each cell of the ambient space the endpoints are the exact min and max
     probabilities over all joint distributions whose marginals satisfy every
     table of the database.  Every such joint is more informative than the
-    result, and each endpoint is attained by one of them.  When the tables
-    share no variable the endpoints are the Fréchet bounds over the tables'
-    reachable bounds; otherwise they come from the joint LP (see the module
-    docstring).
+    result, and each endpoint is attained by one of them.  The endpoints are
+    the Fréchet bounds over the envelopes of the database's components, the
+    groups of tables linked by shared variables (see the module docstring).
 
     Raises :class:`InfeasibleError` when the database is inconsistent.
     """
-    cover = _disjoint_cover(db)
-    if cover is None:
+    # A table whose bounds miss 1 in floats may have an empty box: the LP decides.
+    if not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables):
+        return _joint_envelope(db)
+    space = db.space
+    groups = []  # per component: its variables and its tables' indices
+    for k, table in enumerate(db.tables):
+        names, members = set(table.space.names), [k]
+        for group in [g for g in groups if g[0] & names]:
+            groups.remove(group)
+            names |= group[0]
+            members = group[1] + members
+        groups.append((names, sorted(members)))
+    groups.sort(key=lambda g: g[1][0])
+    held = {name for t in db.tables for name in t.space.names}
+    free = any(v.size > 1 for v in space.variables if v.name not in held)
+    if len(groups) == 1 and len(db.tables) > 1 and not free:
         return _joint_envelope(db)
     require_valid(db)
-    space = db.space
     # Summing from +0.0 keeps a zero lower endpoint +0.0 rather than -0.0.
     lower = np.zeros(space.cell_count)
     upper = np.ones(space.cell_count)
-    for table in cover:
-        cells = table.space.cell_count
-        reach = _box_envelope(table, np.arange(cells), table.space)  # tighten(table)
-        pm = space.projection_map(table.space.names)
+    for names, members in groups:
+        if len(members) == 1:
+            sub = db.tables[members[0]].space
+            reach = _box_envelope(db.tables[members[0]], np.arange(sub.cell_count), sub)
+        else:
+            sub = space.subspace(space.ordered_subset(names))
+            reach = _joint_envelope(Database([db.tables[k] for k in members], space=sub))
+        pm = space.projection_map(sub.names)
         lower += reach.lower[pm]
         upper = np.minimum(upper, reach.upper[pm])
-    return _scrubbed(space, np.maximum(lower - (len(cover) - 1), 0.0), upper)
-
-
-def _disjoint_cover(db: Database) -> tuple[IntervalDistribution, ...] | None:
-    """``db``'s tables, plus a vacuous one over the variables none holds.
-
-    None unless the tables' variable sets are pairwise disjoint and every
-    table's bounds straddle 1 in floats, so that its box is not empty.
-    """
-    held = [name for t in db.tables for name in t.space.names]
-    if len(set(held)) < len(held):
-        return None
-    if not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables):
-        return None
-    free = [name for name in db.space.names if name not in held]
-    if not free:
-        return db.tables
-    sub = db.space.subspace(free)
-    vacuous = IntervalDistribution(sub, np.zeros(sub.cell_count), np.ones(sub.cell_count))
-    return db.tables + (vacuous,)
+    # The free cells are one more factor, of lower bound 0; a single free
+    # cell holds mass 1 in every joint, which makes no factor at all.
+    factors = len(groups) + free
+    return _scrubbed(space, np.maximum(lower - (factors - 1), 0.0), upper)
 
 
 def _joint_envelope(db: Database) -> IntervalDistribution:

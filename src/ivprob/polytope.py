@@ -10,8 +10,8 @@ the cell's bounds as the row's range, plus the normalization row.  Every
 system lies in the unit box ``0 <= p <= 1``, and :func:`optimize` passes its
 arrays with those column bounds straight to the bounded-variable simplex to
 compute exact maxima of linear objectives (a minimum is the maximum of the
-negated objective); this is the LP path behind the envelopes of databases
-whose tables share a variable.
+negated objective); this is the LP path behind the envelopes of database
+components whose tables share a variable.
 :func:`optimize` takes objectives by their nonzeros, with an upper bound on
 each one's maximum (NaN where none is known), and makes one simplex call for
 all of them, so phase 1 runs once per system; it returns that call's one

@@ -428,16 +428,31 @@ def _single_lp_envelope(db):
     return np.minimum(lower, upper), upper
 
 
+def _one_spanning_component(db):
+    """Whether two or more tables, linked by shared variables, hold every variable."""
+    if len(db.tables) < 2:
+        return False
+    reached = set(db.tables[0].space.names)
+    for _ in db.tables:
+        for table in db.tables:
+            if reached & set(table.space.names):
+                reached |= set(table.space.names)
+    return reached == set(db.space.names)
+
+
 def _assert_matches_joint_envelope(db, joint):
-    """``extension_star`` is the joint LP's envelope: bit for bit when tables
-    overlap, and within the proved-endpoint tolerance in closed form."""
+    """``extension_star`` is the joint LP's envelope: bit for bit when one
+    component of overlapping tables spans the space, so that the joint LP runs
+    as it is; otherwise components combine by Fréchet bounds, within 1e-15 of
+    it when no tables overlap and within 1e-12 when some do."""
     got = extension_star(db)
     held = [name for t in db.tables for name in t.space.names]
-    if len(set(held)) < len(held):
+    if _one_spanning_component(db):
         assert got == joint
     else:
-        np.testing.assert_allclose(got.lower, joint.lower, atol=1e-15, rtol=0.0)
-        np.testing.assert_allclose(got.upper, joint.upper, atol=1e-15, rtol=0.0)
+        atol = 1e-15 if len(set(held)) == len(held) else 1e-12
+        np.testing.assert_allclose(got.lower, joint.lower, atol=atol, rtol=0.0)
+        np.testing.assert_allclose(got.upper, joint.upper, atol=atol, rtol=0.0)
 
 
 def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
@@ -511,7 +526,7 @@ def _highs_envelope(db):
             rows.append((table_cell == t).astype(float))
             lows.append(table.lower[t])
             highs.append(table.upper[t])
-    fibers = np.array(rows)
+    fibers = np.array(rows).reshape(len(rows), n)
     lp = dict(
         A_ub=np.vstack([fibers, -fibers]), b_ub=np.concatenate([highs, np.negative(lows)]),
         A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0.0, 1.0), method="highs",
@@ -522,7 +537,8 @@ def _highs_envelope(db):
     x = np.array([res.x for res in mins + maxs])
     fx = x @ fibers.T
     residual = max(
-        np.max(lows - fx), np.max(fx - highs), np.max(np.abs(x.sum(axis=1) - 1.0)),
+        np.max(lows - fx, initial=0.0), np.max(fx - highs, initial=0.0),
+        np.max(np.abs(x.sum(axis=1) - 1.0)),
         -x.min(), x.max() - 1.0,
     )
     return np.array([r.fun for r in mins]), -np.array([r.fun for r in maxs]), residual
@@ -591,6 +607,71 @@ def test_disjoint_envelope_is_exact_below_lp_noise(space_x, space_y, space_xy):
     assert got.upper[1] == tiny
     assert got.lower[1] == pytest.approx(tiny, abs=1e-16)
     np.testing.assert_array_equal(got.upper[[0, 2]], 0.0)
+
+
+def _component_cases(rng):
+    """``(name, database, cells of each LP)`` for databases of several components.
+
+    Tables sit around one hidden joint, some in an order other than the
+    ambient one; free variables come first in the ambient space.
+    """
+    var = {
+        name: Variable(name, tuple(f"{name.lower()}.{m}" for m in range(size)))
+        for name, size in (("V1", 3), ("V2", 2), ("V3", 3), ("V4", 2), ("V5", 2), ("V6", 2))
+    }
+    free, one_label = Variable("F", ("f1", "f2", "f3")), Variable("S", ("s1",))
+
+    def database(scheme, kind, extra=()):
+        held = {name for names in scheme for name in names}
+        space = Space(extra + tuple(v for name, v in var.items() if name in held))
+        p = random_real(rng, space).p
+        tables = [_marginal_table(rng, space, names, p, kind) for names in scheme]
+        return Database(tables, space=space)
+
+    chain, group = (("V2", "V1"), ("V2", "V3")), (("V4", "V5"), ("V5", "V6"))
+    for kind in ("interval", "mixed"):
+        yield "chain plus a free variable", database(chain, kind, (free,)), [18]
+        yield "chain plus a disjoint table", database(chain + (("V5", "V4"),), kind), [18]
+        yield "two overlapping groups", database(chain + group, kind), [18, 8]
+    yield "empty database", Database((), space=Space((free, var["V2"]))), []
+    yield "empty one-cell database", Database((), space=Space((one_label,))), []
+    # Cell (s1, v4.0, v5.0) holds at least 0.7 + 0.6 - 1 only if S is no factor.
+    v4 = IntervalDistribution(Space((var["V4"],)), [0.7, 0.2], [0.8, 0.3])
+    v5 = IntervalDistribution(Space((var["V5"],)), [0.6, 0.3], [0.7, 0.4])
+    space = Space((one_label, var["V4"], var["V5"]))
+    yield "one-label free variable", Database((v4, v5), space=space), []
+
+
+def test_components_combine_by_frechet_bounds(monkeypatch):
+    # Each component is solved on its own: an LP holds only the cells of its
+    # component's variables, and the Fréchet combination is the joint LP's
+    # envelope over the whole space, which HiGHS attains with feasible joints.
+    pytest.importorskip("scipy")
+    from ivprob import simplex
+
+    columns = []
+    solve = simplex.solve
+
+    def recording_solve(a, *args):
+        columns.append(a.shape[1])
+        return solve(a, *args)
+
+    monkeypatch.setattr(simplex, "solve", recording_solve)
+    for name, db, cells in _component_cases(np.random.default_rng(433)):
+        joint = _joint_envelope(db)
+        columns.clear()
+        got = extension_star(db)
+        # A table at the tolerance edge sends the whole database to the joint LP.
+        edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
+        assert columns == ([db.space.cell_count] if edge else cells), name
+        np.testing.assert_allclose(got.lower, joint.lower, atol=1e-12, rtol=0.0, err_msg=name)
+        np.testing.assert_allclose(got.upper, joint.upper, atol=1e-12, rtol=0.0, err_msg=name)
+        lower, upper, residual = _highs_envelope(db)
+        np.testing.assert_allclose(got.lower, lower, atol=1e-9, rtol=0.0, err_msg=name)
+        np.testing.assert_allclose(got.upper, upper, atol=1e-9, rtol=0.0, err_msg=name)
+        assert residual <= 1e-9, name
+    # The last case's cell (s1, v4.0, v5.0) holds at least 0.7 + 0.6 - 1.
+    assert got.lower[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_chain_cell_maximum_is_below_every_table_maximum():
@@ -687,9 +768,17 @@ def test_refactorized_inverse_keeps_witnesses_exact(monkeypatch, kernel_runs):
 
 
 def test_ivprob_does_not_import_scipy():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import ivprob
+
+    # The child imports the same ivprob as this process, whatever PYTHONPATH says.
+    env = dict(os.environ, PYTHONPATH=str(Path(ivprob.__file__).parent.parent))
     probe = "import sys, ivprob, ivprob.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
     assert out.stdout == "False\n"
