@@ -428,31 +428,16 @@ def _single_lp_envelope(db):
     return np.minimum(lower, upper), upper
 
 
-def _one_spanning_component(db):
-    """Whether two or more tables, linked by shared variables, hold every variable."""
-    if len(db.tables) < 2:
-        return False
-    reached = set(db.tables[0].space.names)
-    for _ in db.tables:
-        for table in db.tables:
-            if reached & set(table.space.names):
-                reached |= set(table.space.names)
-    return reached == set(db.space.names)
-
-
 def _assert_matches_joint_envelope(db, joint):
-    """``extension_star`` is the joint LP's envelope: bit for bit when one
-    component of overlapping tables spans the space, so that the joint LP runs
-    as it is; otherwise components combine by Fréchet bounds, within 1e-15 of
-    it when no tables overlap and within 1e-12 when some do."""
+    """``extension_star`` is the joint LP's envelope: bit for bit when tables
+    overlap, and within the proved-endpoint tolerance in closed form."""
     got = extension_star(db)
     held = [name for t in db.tables for name in t.space.names]
-    if _one_spanning_component(db):
+    if len(set(held)) < len(held):
         assert got == joint
     else:
-        atol = 1e-15 if len(set(held)) == len(held) else 1e-12
-        np.testing.assert_allclose(got.lower, joint.lower, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(got.upper, joint.upper, atol=atol, rtol=0.0)
+        np.testing.assert_allclose(got.lower, joint.lower, atol=1e-15, rtol=0.0)
+        np.testing.assert_allclose(got.upper, joint.upper, atol=1e-15, rtol=0.0)
 
 
 def test_extension_star_equals_per_cell_lps_exactly(kernel_runs):
@@ -613,7 +598,9 @@ def _component_cases(rng):
     """``(name, database, cells of each LP)`` for databases of several components.
 
     Tables sit around one hidden joint, some in an order other than the
-    ambient one; free variables come first in the ambient space.
+    ambient one; free variables come first in the ambient space.  The joint is
+    dyadic, so every marginal sums to exactly 1 and every table's bounds
+    straddle 1 in floats, except in the tolerance-edge case.
     """
     var = {
         name: Variable(name, tuple(f"{name.lower()}.{m}" for m in range(size)))
@@ -624,7 +611,8 @@ def _component_cases(rng):
     def database(scheme, kind, extra=()):
         held = {name for names in scheme for name in names}
         space = Space(extra + tuple(v for name, v in var.items() if name in held))
-        p = random_real(rng, space).p
+        n = space.cell_count
+        p = (rng.multinomial(1024 - n, np.full(n, 1.0 / n)) + 1) / 1024
         tables = [_marginal_table(rng, space, names, p, kind) for names in scheme]
         return Database(tables, space=space)
 
@@ -633,6 +621,12 @@ def _component_cases(rng):
         yield "chain plus a free variable", database(chain, kind, (free,)), [18]
         yield "chain plus a disjoint table", database(chain + (("V5", "V4"),), kind), [18]
         yield "two overlapping groups", database(chain + group, kind), [18, 8]
+    # A real table summing to 1 + 1 ulp sends the whole database to one LP.
+    edge = database(chain, "interval", (free,))
+    half = np.nextafter(0.5, 1.0)
+    space = Space(edge.space.variables + (var["V4"],))
+    tables = tuple(edge.tables) + (RealDistribution(Space((var["V4"],)), [half, half]),)
+    yield "tolerance edge", Database(tables, space=space), [space.cell_count]
     yield "empty database", Database((), space=Space((free, var["V2"]))), []
     yield "empty one-cell database", Database((), space=Space((one_label,))), []
     # Cell (s1, v4.0, v5.0) holds at least 0.7 + 0.6 - 1 only if S is no factor.
@@ -661,9 +655,9 @@ def test_components_combine_by_frechet_bounds(monkeypatch):
         joint = _joint_envelope(db)
         columns.clear()
         got = extension_star(db)
-        # A table at the tolerance edge sends the whole database to the joint LP.
-        edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
-        assert columns == ([db.space.cell_count] if edge else cells), name
+        straddle = all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
+        assert straddle == (name != "tolerance edge"), name
+        assert columns == cells, name
         np.testing.assert_allclose(got.lower, joint.lower, atol=1e-12, rtol=0.0, err_msg=name)
         np.testing.assert_allclose(got.upper, joint.upper, atol=1e-12, rtol=0.0, err_msg=name)
         lower, upper, residual = _highs_envelope(db)
@@ -775,8 +769,9 @@ def test_ivprob_does_not_import_scipy():
 
     import ivprob
 
-    # The child imports the same ivprob as this process, whatever PYTHONPATH says.
-    env = dict(os.environ, PYTHONPATH=str(Path(ivprob.__file__).parent.parent))
+    # The child imports the same ivprob as this process, ahead of any PYTHONPATH.
+    path = [str(Path(ivprob.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = "import sys, ivprob, ivprob.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
