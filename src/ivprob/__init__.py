@@ -5,8 +5,8 @@ envelopes a database of (interval) marginal tables admits, projects and
 reconstructs distributions across database schemes, and quantifies the
 uncertainty and information loss involved — all exact, not endpoint
 arithmetic: single-table bounds in closed form, and a database envelope as
-the Fréchet combination of its components' envelopes, by linear programming
-only for components of overlapping tables and at the float tolerance edge.
+the Fréchet combination of its components' envelopes, each by linear
+programming unless it is one table and no table's bounds miss 1 in floats.
 """
 
 from .errors import (

@@ -107,8 +107,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    i = _load_distribution(args.path)
-    i2 = _load_distribution(args.path2)
+    i = _load_distribution(args.path).require_valid()
+    i2 = _load_distribution(args.path2).require_valid()
     print(format_scalar(distance_d0(i, i2)))
     return 0
 

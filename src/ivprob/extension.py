@@ -18,10 +18,10 @@ linked by shared variables.  Tables on disjoint variable sets couple freely
 bounds over the components' envelopes ``[l_C, u_C]``: at most
 ``min_C u_C(x_C)`` and at least ``max(0, sum_C l_C(x_C) - (k - 1))`` over
 ``k`` factors, where the ambient variables in no table form one more factor, of
-lower bound 0, unless they have a single cell.  A one-table component's
-envelope is its reachable bounds; any other comes from the joint LP over the
-component's variables, as does the whole database's when a table's lower
-bounds sum above 1 or its upper bounds below 1 in floats (the tolerance edge).
+lower bound 0, unless they have a single cell.  If a table's lower bounds sum
+above 1 or upper bounds below 1 in floats (the tolerance edge), all tables
+form one component, decided by one LP.  Off the edge a one-table component
+takes its reachable bounds, and any other the joint LP over its variables.
 The joint LP maximizes ``-p_j`` and ``p_j`` for every joint cell ``j`` over
 the database polytope in one simplex call, one phase 1 for the polytope and
 then one phase 2 per endpoint still open.  The ``2n`` objectives go to the
@@ -84,18 +84,20 @@ def extension_star(db: Database) -> IntervalDistribution:
     table of the database.  Every such joint is more informative than the
     result, and each endpoint is attained by one of them.  The endpoints are
     the Fréchet bounds over the envelopes of the database's components, the
-    groups of tables linked by shared variables (see the module docstring).
+    groups of tables linked by shared variables, or all tables at the
+    tolerance edge; only a one-table component off that edge skips the joint
+    LP (see the module docstring).
 
     Raises :class:`InfeasibleError` when the database is inconsistent.
     """
-    # A table whose bounds miss 1 in floats may have an empty box: the LP decides.
-    if not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables):
-        return _joint_envelope(db)
+    require_valid(db)
+    # A table whose bounds miss 1 in floats may have an empty box: one LP decides.
+    edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
     space = db.space
     groups = []  # per component: its variables and its tables' indices
     for k, table in enumerate(db.tables):
         names, members = set(table.space.names), [k]
-        for group in [g for g in groups if g[0] & names]:
+        for group in [g for g in groups if edge or g[0] & names]:
             groups.remove(group)
             names |= group[0]
             members = group[1] + members
@@ -103,19 +105,17 @@ def extension_star(db: Database) -> IntervalDistribution:
     groups.sort(key=lambda g: g[1][0])
     held = {name for t in db.tables for name in t.space.names}
     free = any(v.size > 1 for v in space.variables if v.name not in held)
-    if len(groups) == 1 and len(db.tables) > 1 and not free:
-        return _joint_envelope(db)
-    require_valid(db)
     # Summing from +0.0 keeps a zero lower endpoint +0.0 rather than -0.0.
     lower = np.zeros(space.cell_count)
     upper = np.ones(space.cell_count)
     for names, members in groups:
-        if len(members) == 1:
-            sub = db.tables[members[0]].space
-            reach = _box_envelope(db.tables[members[0]], np.arange(sub.cell_count), sub)
+        tables = [db.tables[k] for k in members]
+        if len(tables) == 1 and not edge:
+            sub = tables[0].space
+            reach = _box_envelope(tables[0], np.arange(sub.cell_count), sub)
         else:
             sub = space.subspace(space.ordered_subset(names))
-            reach = _joint_envelope(Database([db.tables[k] for k in members], space=sub))
+            reach = _joint_envelope(Database(tables, space=sub))
         pm = space.projection_map(sub.names)
         lower += reach.lower[pm]
         upper = np.minimum(upper, reach.upper[pm])

@@ -260,6 +260,29 @@ def test_distance_between_input_and_reconstruction(capsys, tmp_path):
     assert out.strip() == "0.120000000"
 
 
+def test_distance_refuses_an_invalid_distribution(capsys, tmp_path):
+    ok = tmp_path / "ok.json"
+    ok.write_text(
+        json.dumps(
+            {
+                "variables": [{"name": "X", "domain": ["x1", "x2"]}],
+                "table": {
+                    "vars": ["X"],
+                    "rows": [
+                        {"key": ["x1"], "p": [0.3, 0.5]},
+                        {"key": ["x2"], "p": [0.5, 0.7]},
+                    ],
+                },
+            }
+        )
+    )
+    bad = FIXTURES / "bad_lower_gt_upper.json"
+    for pair in ((bad, ok), (ok, bad)):
+        code, out, err = run(capsys, "distance", *pair)
+        assert (code, out) == (1, "")
+        assert err == "error: cell (x1): lower 0.8 > upper 0.2\n"
+
+
 def test_maxent_fit(capsys):
     code, out, err = run(capsys, "maxent", FIXTURES / "db_d.json")
     assert code == 0

@@ -600,7 +600,7 @@ def _component_cases(rng):
     Tables sit around one hidden joint, some in an order other than the
     ambient one; free variables come first in the ambient space.  The joint is
     dyadic, so every marginal sums to exactly 1 and every table's bounds
-    straddle 1 in floats, except in the tolerance-edge case.
+    straddle 1 in floats, except in the two tolerance-edge cases.
     """
     var = {
         name: Variable(name, tuple(f"{name.lower()}.{m}" for m in range(size)))
@@ -621,12 +621,15 @@ def _component_cases(rng):
         yield "chain plus a free variable", database(chain, kind, (free,)), [18]
         yield "chain plus a disjoint table", database(chain + (("V5", "V4"),), kind), [18]
         yield "two overlapping groups", database(chain + group, kind), [18, 8]
-    # A real table summing to 1 + 1 ulp sends the whole database to one LP.
+    # A real table summing to 1 + 1 ulp joins every table into one LP over
+    # the held variables; the free variable F stays a factor of its own.
     edge = database(chain, "interval", (free,))
     half = np.nextafter(0.5, 1.0)
     space = Space(edge.space.variables + (var["V4"],))
-    tables = tuple(edge.tables) + (RealDistribution(Space((var["V4"],)), [half, half]),)
-    yield "tolerance edge", Database(tables, space=space), [space.cell_count]
+    real = RealDistribution(Space((var["V4"],)), [half, half])
+    yield "tolerance edge", Database(tuple(edge.tables) + (real,), space=space), [36]
+    # Alone, that table still goes to the LP, not to the closed form.
+    yield "one-table tolerance edge", Database((real,)), [2]
     yield "empty database", Database((), space=Space((free, var["V2"]))), []
     yield "empty one-cell database", Database((), space=Space((one_label,))), []
     # Cell (s1, v4.0, v5.0) holds at least 0.7 + 0.6 - 1 only if S is no factor.
@@ -656,7 +659,7 @@ def test_components_combine_by_frechet_bounds(monkeypatch):
         columns.clear()
         got = extension_star(db)
         straddle = all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
-        assert straddle == (name != "tolerance edge"), name
+        assert straddle == (not name.endswith("tolerance edge")), name
         assert columns == cells, name
         np.testing.assert_allclose(got.lower, joint.lower, atol=1e-12, rtol=0.0, err_msg=name)
         np.testing.assert_allclose(got.upper, joint.upper, atol=1e-12, rtol=0.0, err_msg=name)
