@@ -2,13 +2,17 @@
 
 Provides entropy, conditional entropy, and KL divergence (all in bits);
 maximum-entropy fitting of real marginal tables by iterative proportional
-fitting, which stops early, with the same result, once its iterate repeats;
-and the two ends of an interval distribution's entropy range, which
-the measures ``measure_u1`` and ``measure_u2`` report: the maximum by exact
-water-filling, the minimum by enumerating the vertices of the box.
+fitting, which stops early, with the same result, once its iterate repeats,
+and skips its stopping test when two tables disagree too far on a shared
+marginal for it ever to pass; and the two ends of an interval distribution's
+entropy range, which the measures ``measure_u1`` and ``measure_u2`` report:
+the maximum by exact water-filling, the minimum by enumerating the vertices
+of the box.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -18,6 +22,7 @@ from .model import (
     Database,
     IntervalDistribution,
     RealDistribution,
+    Space,
     compare_sum,
     require_valid,
 )
@@ -88,6 +93,38 @@ def kl_divergence(p: RealDistribution, q: RealDistribution) -> float:
     return max(0.0, val)
 
 
+def _never_within_tolerance(space: Space, tables, targets) -> bool:
+    """True if no joint can match every target within ``IPF_TOLERANCE``.
+
+    Take two tables ``t`` and ``u`` that share the variables ``S``, and their
+    targets' marginals ``a`` and ``b`` on ``S``.  Each cell of ``S`` sums
+    ``k_t = cells(t) / cells(S)`` cells of ``t``, so a joint whose marginals
+    all lie within the tolerance of their targets has an ``S`` marginal
+    within ``k_t * IPF_TOLERANCE`` of ``a`` and within ``k_u * IPF_TOLERANCE``
+    of ``b``.  A larger gap between ``a`` and ``b`` proves that IPF's stopping
+    test can never pass: tables whose shared marginals disagree have no
+    common joint (Vorob'ev, Theory Probab. Appl. 7, 1962).
+    """
+    for (t, a_target), (u, b_target) in itertools.combinations(zip(tables, targets), 2):
+        shared = set(t.space.names) & set(u.space.names)
+        if not shared:
+            continue
+        names = space.ordered_subset(shared)
+        a = np.bincount(t.space.projection_map(names), weights=a_target)
+        b = np.bincount(u.space.projection_map(names), weights=b_target)
+        # The float margin.  a, b and the two tables' fitted marginals that
+        # the stopping test reads are float sums of nonnegative terms, at most
+        # SPACE_CELL_CAP = 4096 of them, adding up to about 1.  Over one cell
+        # of S each of the four is within 4096 * 2**-53 of its exact value,
+        # and the other roundings (the deviations, |a - b|, the bound) are
+        # relative, of 2**-53; so the gap that floats show is within
+        # 4 * 4096 * 2**-53 < 2e-12 of the exact one, well inside 1e-11.
+        slack = (a_target.size + b_target.size) / a.size * IPF_TOLERANCE + 1e-11
+        if np.abs(a - b).max() > slack:
+            return True
+    return False
+
+
 def maxent_ipf(db: Database) -> RealDistribution:
     """Maximum-entropy joint matching every real-valued table of ``db``.
 
@@ -104,7 +141,13 @@ def maxent_ipf(db: Database) -> RealDistribution:
 
     Once the joint repeats bit for bit, the fit is periodic and cannot
     converge, so whole periods up to the cap are skipped: the joint returned,
-    or the error raised, is the same as running every sweep.
+    or the error raised, is the same as running every sweep.  Before the
+    first sweep, the targets of every pair of tables that share variables
+    are compared on those variables; a gap that no joint within
+    ``IPF_TOLERANCE`` of both could leave proves the stopping test can never
+    pass.  Such a fit skips the test: each sweep takes every table's
+    marginal by its own ``bincount``, and the deviation that the error
+    reports is taken once, after the last sweep, so the error is the same.
 
     Raises :class:`ConvergenceError` after ``IPF_MAX_SWEEPS`` sweeps, which
     signals inconsistent tables (or, for extreme inputs, a too-low cap), and
@@ -129,10 +172,18 @@ def maxent_ipf(db: Database) -> RealDistribution:
     bins = np.concatenate([np.empty(0, np.intp)] + [m + o for m, o in zip(maps, offsets)])
     cells = np.tile(np.arange(n), len(maps))
     stacked_target = np.concatenate([np.empty(0)] + targets)
+    # Tables that disagree on a shared marginal skip the stopping test; each
+    # table's marginal is then its own bincount, the same floats as its slice
+    # of the stacked one.
+    hopeless = _never_within_tolerance(space, db.tables, targets)
+
+    def fitted(p):
+        """Every table's marginal of ``p``, stacked, and the largest deviation."""
+        marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
+        return marginal, float(np.abs(marginal - stacked_target).max(initial=0.0))
 
     p = np.full(n, 1.0 / n)
-    marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
-    deviation = np.inf
+    marginal, deviation = fitted(p)[0], np.inf
     # A sweep reads nothing but p, so once p repeats bit for bit every later
     # sweep repeats too.  Brent's cycle detection (BIT 20, 1980) compares p
     # with one copy saved after sweeps 1, 2, 4, 8, ...; on a match, whole
@@ -141,17 +192,17 @@ def maxent_ipf(db: Database) -> RealDistribution:
     sweep = 0
     while sweep < IPF_MAX_SWEEPS:
         for t, (pm, target) in enumerate(zip(maps, targets)):
-            if t:
+            if t or hopeless:
                 current = np.bincount(pm, weights=p, minlength=target.size)
             else:
                 current = marginal[: target.size]
             # 0 where the target is 0: the divisor is at least 1e-300
             p = p * (target / np.maximum(current, 1e-300))[pm]
         sweep += 1
-        marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
-        deviation = float(np.abs(marginal - stacked_target).max(initial=0.0))
-        if deviation < IPF_TOLERANCE:
-            return RealDistribution(space, p / p.sum())
+        if not hopeless:
+            marginal, deviation = fitted(p)
+            if deviation < IPF_TOLERANCE:
+                return RealDistribution(space, p / p.sum())
         # bytes, not floats: a signed zero or a NaN payload is a different state
         state = p.tobytes()
         if state == saved:
@@ -159,6 +210,8 @@ def maxent_ipf(db: Database) -> RealDistribution:
             sweep += (IPF_MAX_SWEEPS - sweep) // period * period
         elif sweep & (sweep - 1) == 0:
             saved, saved_at = state, sweep
+    if hopeless and sweep:
+        deviation = fitted(p)[1]
     raise ConvergenceError(
         f"marginal fitting did not converge in {IPF_MAX_SWEEPS} sweeps "
         f"(residual deviation {deviation:.3e}); the tables may be inconsistent"

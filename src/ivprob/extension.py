@@ -12,8 +12,9 @@ the envelopes are exact, not outer bounds.  Over a single box the endpoints
 have a closed form, the reachable bounds of probability intervals (de Campos,
 Huete & Moral, IJUFKS 1994).
 
-A database's envelope combines those of its components, the groups of tables
-linked by shared variables.  Tables on disjoint variable sets couple freely
+A database's envelope combines those of its components
+(:func:`~ivprob.polytope.components`), the groups of tables linked by shared
+variables.  Tables on disjoint variable sets couple freely
 (Fréchet 1951; Vorob'ev 1962), so a joint cell ``x`` is bounded by the Fréchet
 bounds over the components' envelopes ``[l_C, u_C]``: at most
 ``min_C u_C(x_C)`` and at least ``max(0, sum_C l_C(x_C) - (k - 1))`` over
@@ -46,7 +47,7 @@ from .model import (
     Space,
     require_valid,
 )
-from .polytope import OPTIMAL, constraints_from_database, optimize
+from .polytope import OPTIMAL, components, constraints_from_database, optimize
 
 
 def _scrubbed(space: Space, lower: np.ndarray, upper: np.ndarray) -> IntervalDistribution:
@@ -91,37 +92,28 @@ def extension_star(db: Database) -> IntervalDistribution:
     Raises :class:`InfeasibleError` when the database is inconsistent.
     """
     require_valid(db)
-    # A table whose bounds miss 1 in floats may have an empty box: one LP decides.
-    edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
+    parts = components(db)
     space = db.space
-    groups = []  # per component: its variables and its tables' indices
-    for k, table in enumerate(db.tables):
-        names, members = set(table.space.names), [k]
-        for group in [g for g in groups if edge or g[0] & names]:
-            groups.remove(group)
-            names |= group[0]
-            members = group[1] + members
-        groups.append((names, sorted(members)))
-    groups.sort(key=lambda g: g[1][0])
     held = {name for t in db.tables for name in t.space.names}
     free = any(v.size > 1 for v in space.variables if v.name not in held)
     # Summing from +0.0 keeps a zero lower endpoint +0.0 rather than -0.0.
     lower = np.zeros(space.cell_count)
     upper = np.ones(space.cell_count)
-    for names, members in groups:
-        tables = [db.tables[k] for k in members]
-        if len(tables) == 1 and not edge:
-            sub = tables[0].space
-            reach = _box_envelope(tables[0], np.arange(sub.cell_count), sub)
+    for tables, names in parts:
+        # A lone table whose bounds straddle 1 in floats is off the edge.
+        table = tables[0]
+        if len(tables) == 1 and table.lower.sum() <= 1.0 <= table.upper.sum():
+            sub = table.space
+            reach = _box_envelope(table, np.arange(sub.cell_count), sub)
         else:
-            sub = space.subspace(space.ordered_subset(names))
+            sub = space.subspace(names)
             reach = _joint_envelope(Database(tables, space=sub))
         pm = space.projection_map(sub.names)
         lower += reach.lower[pm]
         upper = np.minimum(upper, reach.upper[pm])
     # The free cells are one more factor, of lower bound 0; a single free
     # cell holds mass 1 in every joint, which makes no factor at all.
-    factors = len(groups) + free
+    factors = len(parts) + free
     return _scrubbed(space, np.maximum(lower - (factors - 1), 0.0), upper)
 
 

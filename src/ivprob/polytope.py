@@ -21,6 +21,10 @@ them checked by the solver where it was found.
 ``{p : lower <= p <= upper, sum(p) = 1}`` as that of a one-table database
 over the box's own space.  Box envelopes have a closed form (see
 :mod:`ivprob.extension`), so the box system serves as an LP reference.
+:func:`components` splits a database into the groups of tables linked by
+shared variables.  An envelope combines the groups' own envelopes, and
+:func:`is_consistent` decides each group by its own phase 1 when one phase 1
+over the whole database fails.
 """
 
 from __future__ import annotations
@@ -155,9 +159,46 @@ def optimize(
     )
 
 
+def components(db: Database) -> list[tuple[tuple[IntervalDistribution, ...], tuple[str, ...]]]:
+    """``db``'s components, the groups of tables linked by shared variables.
+
+    Each component is its tables, in their order in ``db``, and the
+    variables they hold, in ambient order; components come in the order of
+    their first tables.  If a table's lower bounds sum above 1 or its upper
+    bounds below 1 in floats (the tolerance edge), its box may be empty and
+    only an LP over every table decides the database, so all tables form
+    one component.
+    """
+    edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
+    groups = []  # per component: its variables and its tables' indices
+    for k, table in enumerate(db.tables):
+        names, members = set(table.space.names), [k]
+        for group in [g for g in groups if edge or g[0] & names]:
+            groups.remove(group)
+            names |= group[0]
+            members = group[1] + members
+        groups.append((names, sorted(members)))
+    groups.sort(key=lambda g: g[1][0])
+    return [
+        (tuple(db.tables[k] for k in members), db.space.ordered_subset(names))
+        for names, members in groups
+    ]
+
+
+def _feasible(db: Database) -> bool:
+    # The probe has no objective row, so it stops after phase 1.
+    return optimize(constraints_from_database(db), ((), (), ()), ()).status == OPTIMAL
+
+
 def is_consistent(db: Database) -> bool:
     """True iff some joint distribution satisfies every table of ``db``.
 
-    The probe has no objective row, so it stops after phase 1.
+    One phase 1 over the whole database decides almost every database: the
+    marginals of a joint that passes it pass each component's phase 1.  Its
+    infeasibility is the sum of the components' infeasibilities, though, so
+    when it fails each component of :func:`components` is decided by its own
+    phase 1, as :func:`~ivprob.extension.extension_star` decides it.
     """
-    return optimize(constraints_from_database(db), ((), (), ()), ()).status == OPTIMAL
+    return _feasible(db) or all(
+        _feasible(Database(tables, db.space.subspace(names))) for tables, names in components(db)
+    )

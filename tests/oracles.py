@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from ivprob import Database, IntervalDistribution, RealDistribution, Scheme, Space, Variable
+from ivprob import entropy
 from ivprob.entropy import IPF_MAX_SWEEPS, IPF_TOLERANCE
 from ivprob.errors import ConvergenceError, SolverError
 from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL
@@ -128,6 +129,32 @@ def ipf_outcome(fit, db: Database) -> tuple[bytes | str, bytes]:
         module.np = spy.numpy
     p = b"" if spy.weights is None else spy.weights[: db.space.cell_count].tobytes()
     return result, p
+
+
+def ipf_certified(db: Database) -> bool:
+    """Whether ``maxent_ipf`` proves before sweeping that ``db`` cannot converge.
+
+    A certified fit skips the stopping test in its sweeps.  The fit runs with
+    a cap of 0 sweeps, so it ends at once, and the certificate is wrapped for
+    the call to keep its verdict.
+    """
+    check = entropy._never_within_tolerance
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    cap = entropy.IPF_MAX_SWEEPS
+    entropy._never_within_tolerance, entropy.IPF_MAX_SWEEPS = recording, 0
+    try:
+        entropy.maxent_ipf(db)
+    except ConvergenceError:
+        pass
+    finally:
+        entropy._never_within_tolerance, entropy.IPF_MAX_SWEEPS = check, cap
+    (verdict,) = verdicts
+    return verdict
 
 
 def chain_cell_bounds(tables) -> tuple[np.ndarray, np.ndarray]:

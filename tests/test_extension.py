@@ -20,6 +20,7 @@ from ivprob import (
     constraints_from_box,
     constraints_from_database,
     extension_star,
+    is_consistent,
     is_more_informative,
     joint_intervals,
     project_database,
@@ -669,6 +670,25 @@ def test_components_combine_by_frechet_bounds(monkeypatch):
         assert residual <= 1e-9, name
     # The last case's cell (s1, v4.0, v5.0) holds at least 0.7 + 0.6 - 1.
     assert got.lower[0] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_is_consistent_exactly_when_the_envelope_exists():
+    # Both decide a database by its components' phase 1s, under one grouping
+    # and one tolerance-edge rule.  The component cases are all consistent;
+    # the last two clash in one component, beside a consistent one.
+    cases = [(name, db) for name, db, _ in _component_cases(np.random.default_rng(433))]
+    v2, v3 = (Variable(name, (f"{name.lower()}.0", f"{name.lower()}.1")) for name in ("V2", "V3"))
+    clash = [RealDistribution(Space((v2,)), m) for m in ([0.7, 0.3], [0.2, 0.8])]
+    other = RealDistribution(Space((v3,)), [0.5, 0.5])
+    cases += [("clash", Database(clash)), ("clash plus a table", Database(clash + [other]))]
+    for name, db in cases:
+        try:
+            extension_star(db)
+            extends = True
+        except InfeasibleError:
+            extends = False
+        assert is_consistent(db) == extends, name
+    assert not extends
 
 
 def test_chain_cell_maximum_is_below_every_table_maximum():

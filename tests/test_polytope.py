@@ -22,6 +22,7 @@ from ivprob import (
     normalization_row,
     optimize,
     tighten,
+    validate,
 )
 from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
 
@@ -428,6 +429,29 @@ def test_is_consistent_accepts_and_rejects(space_x, space_xy, db_d, db_i):
     t1 = IntervalDistribution(space_x, np.array([0.7, 0.3]), np.array([0.7, 0.3]))
     t2 = IntervalDistribution(space_x, np.array([0.2, 0.8]), np.array([0.2, 0.8]))
     assert not is_consistent(Database((t1, t2)))
+
+
+def test_is_consistent_decides_each_component_on_its_own():
+    # Two real chains whose shared marginals disagree by 2e-10.  Each
+    # component's phase 1 ends within FEASIBILITY_TOL, but one phase 1 over
+    # both adds their infeasibilities and ends just above it.
+    v = {name: Variable(name, (name.lower() + "1", name.lower() + "2")) for name in "ABCDEF"}
+
+    def table(names, m):
+        return IntervalDistribution(Space(tuple(v[n] for n in names)), m, m)
+
+    left, right = [0.1, 0.2, 0.3, 0.4], [0.15 + 2e-10, 0.25, 0.35 - 2e-10, 0.25]
+    db = Database((table("AB", left), table("BC", right), table("DE", left), table("EF", right)))
+    assert validate(db) == []
+    assert optimize(constraints_from_database(db), ((), (), ()), ()).status == INFEASIBLE
+    extension_star(db)
+    assert is_consistent(db)
+    # A clash in one component still decides the whole database.
+    clash = table("EF", [0.6, 0.0, 0.0, 0.4])
+    db = Database((table("AB", left), table("BC", right), table("DE", left), clash))
+    assert not is_consistent(db)
+    with pytest.raises(InfeasibleError):
+        extension_star(db)
 
 
 def test_is_consistent_stops_after_phase_one(db_d, db_i, kernel_runs):
