@@ -2,12 +2,12 @@
 
 Provides entropy, conditional entropy, and KL divergence (all in bits);
 maximum-entropy fitting of real marginal tables by iterative proportional
-fitting, which stops early, with the same result, once its iterate repeats,
-and skips its stopping test when two tables disagree too far on a shared
-marginal for it ever to pass; and the two ends of an interval distribution's
-entropy range, which the measures ``measure_u1`` and ``measure_u2`` report:
-the maximum by exact water-filling, the minimum by enumerating the vertices
-of the box.
+fitting, one ``bincount`` marginal per table and sweep, which stops early,
+with the same result, once its iterate repeats, and skips its stopping test
+when two tables disagree too far on a shared marginal for it ever to pass;
+and the two ends of an interval distribution's entropy range, which the
+measures ``measure_u1`` and ``measure_u2`` report: the maximum by exact
+water-filling, the minimum by enumerating the vertices of the box.
 """
 
 from __future__ import annotations
@@ -129,15 +129,11 @@ def maxent_ipf(db: Database) -> RealDistribution:
     """Maximum-entropy joint matching every real-valued table of ``db``.
 
     Iterative proportional fitting from the uniform start: each sweep rescales
-    the joint once per table, in order, so that table's marginal matches
-    exactly.  After the sweep, one ``bincount`` over the tables' projection
-    maps, stacked at per-table offsets, gives every table's marginal: fitting
-    stops once the largest deviation from the targets falls below
-    ``IPF_TOLERANCE``, and otherwise the first table's slice starts the next
-    sweep.  ``bincount`` adds each bin's weights in input order, so each
-    marginal is the same float as a per-table ``bincount``.  For consistent
-    real marginals this converges to the unique maximum-entropy element of
-    the set of joints with those marginals.
+    the joint once per table, in order, by that table's own ``bincount``
+    marginal, so the marginal matches exactly.  Fitting stops once every
+    table's marginal is within ``IPF_TOLERANCE`` of its target.  For
+    consistent real marginals this converges to the unique maximum-entropy
+    element of the set of joints with those marginals.
 
     Once the joint repeats bit for bit, the fit is periodic and cannot
     converge, so whole periods up to the cap are skipped: the joint returned,
@@ -145,9 +141,8 @@ def maxent_ipf(db: Database) -> RealDistribution:
     first sweep, the targets of every pair of tables that share variables
     are compared on those variables; a gap that no joint within
     ``IPF_TOLERANCE`` of both could leave proves the stopping test can never
-    pass.  Such a fit skips the test: each sweep takes every table's
-    marginal by its own ``bincount``, and the deviation that the error
-    reports is taken once, after the last sweep, so the error is the same.
+    pass, so the sweeps skip it.  Either way, the error reports the deviation
+    of the last sweep's joint.
 
     Raises :class:`ConvergenceError` after ``IPF_MAX_SWEEPS`` sweeps, which
     signals inconsistent tables (or, for extreme inputs, a too-low cap), and
@@ -165,25 +160,14 @@ def maxent_ipf(db: Database) -> RealDistribution:
     maps = [space.projection_map(table.space.names) for table in db.tables]
     # + 0.0 turns a -0.0 target into 0.0, so its ratio cannot flip a sign bit
     targets = [table.lower / table.lower.sum() + 0.0 for table in db.tables]
-    # Every table's marginal is one bincount: table t's bins sit at an offset
-    # past the bins of the tables before it, and each reads a copy of p.  The
-    # leading empty arrays let a database with no tables stack too.
-    offsets = np.cumsum([0] + [target.size for target in targets])
-    bins = np.concatenate([np.empty(0, np.intp)] + [m + o for m, o in zip(maps, offsets)])
-    cells = np.tile(np.arange(n), len(maps))
-    stacked_target = np.concatenate([np.empty(0)] + targets)
-    # Tables that disagree on a shared marginal skip the stopping test; each
-    # table's marginal is then its own bincount, the same floats as its slice
-    # of the stacked one.
     hopeless = _never_within_tolerance(space, db.tables, targets)
 
-    def fitted(p):
-        """Every table's marginal of ``p``, stacked, and the largest deviation."""
-        marginal = np.bincount(bins, weights=p[cells], minlength=stacked_target.size)
-        return marginal, float(np.abs(marginal - stacked_target).max(initial=0.0))
+    def deviation(p):  # the largest gap between a table's marginal and its target
+        gaps = [np.abs(np.bincount(pm, weights=p, minlength=t.size) - t).max()
+                for pm, t in zip(maps, targets)]
+        return float(np.max(gaps, initial=0.0))
 
     p = np.full(n, 1.0 / n)
-    marginal, deviation = fitted(p)[0], np.inf
     # A sweep reads nothing but p, so once p repeats bit for bit every later
     # sweep repeats too.  Brent's cycle detection (BIT 20, 1980) compares p
     # with one copy saved after sweeps 1, 2, 4, 8, ...; on a match, whole
@@ -191,18 +175,13 @@ def maxent_ipf(db: Database) -> RealDistribution:
     saved, saved_at = b"", 0
     sweep = 0
     while sweep < IPF_MAX_SWEEPS:
-        for t, (pm, target) in enumerate(zip(maps, targets)):
-            if t or hopeless:
-                current = np.bincount(pm, weights=p, minlength=target.size)
-            else:
-                current = marginal[: target.size]
+        for pm, target in zip(maps, targets):
+            current = np.bincount(pm, weights=p, minlength=target.size)
             # 0 where the target is 0: the divisor is at least 1e-300
             p = p * (target / np.maximum(current, 1e-300))[pm]
         sweep += 1
-        if not hopeless:
-            marginal, deviation = fitted(p)
-            if deviation < IPF_TOLERANCE:
-                return RealDistribution(space, p / p.sum())
+        if not hopeless and deviation(p) < IPF_TOLERANCE:
+            return RealDistribution(space, p / p.sum())
         # bytes, not floats: a signed zero or a NaN payload is a different state
         state = p.tobytes()
         if state == saved:
@@ -210,11 +189,10 @@ def maxent_ipf(db: Database) -> RealDistribution:
             sweep += (IPF_MAX_SWEEPS - sweep) // period * period
         elif sweep & (sweep - 1) == 0:
             saved, saved_at = state, sweep
-    if hopeless and sweep:
-        deviation = fitted(p)[1]
     raise ConvergenceError(
         f"marginal fitting did not converge in {IPF_MAX_SWEEPS} sweeps "
-        f"(residual deviation {deviation:.3e}); the tables may be inconsistent"
+        f"(residual deviation {deviation(p) if sweep else np.inf:.3e}); "
+        "the tables may be inconsistent"
     )
 
 

@@ -47,7 +47,7 @@ from .model import (
     Space,
     require_valid,
 )
-from .polytope import OPTIMAL, components, constraints_from_database, optimize
+from .polytope import OPTIMAL, _straddles_one, components, constraints_from_database, optimize
 
 
 def _scrubbed(space: Space, lower: np.ndarray, upper: np.ndarray) -> IntervalDistribution:
@@ -100,11 +100,9 @@ def extension_star(db: Database) -> IntervalDistribution:
     lower = np.zeros(space.cell_count)
     upper = np.ones(space.cell_count)
     for tables, names in parts:
-        # A lone table whose bounds straddle 1 in floats is off the edge.
-        table = tables[0]
-        if len(tables) == 1 and table.lower.sum() <= 1.0 <= table.upper.sum():
-            sub = table.space
-            reach = _box_envelope(table, np.arange(sub.cell_count), sub)
+        if len(tables) == 1 and _straddles_one(tables[0]):  # a lone table off the edge
+            sub = tables[0].space
+            reach = _box_envelope(tables[0], np.arange(sub.cell_count), sub)
         else:
             sub = space.subspace(names)
             reach = _joint_envelope(Database(tables, space=sub))

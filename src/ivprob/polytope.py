@@ -23,8 +23,8 @@ over the box's own space.  Box envelopes have a closed form (see
 :mod:`ivprob.extension`), so the box system serves as an LP reference.
 :func:`components` splits a database into the groups of tables linked by
 shared variables.  An envelope combines the groups' own envelopes, and
-:func:`is_consistent` decides each group by its own phase 1 when one phase 1
-over the whole database fails.
+:func:`is_consistent` decides each group on its own: a lone table whose sums
+straddle 1 needs no LP, and any other group takes its own phase 1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from . import simplex
 from .model import Database, IntervalDistribution, Space, require_valid
 
 OPTIMAL = simplex.OPTIMAL
-INFEASIBLE = simplex.INFEASIBLE
 
 #: Witness residuals are enforced at this tolerance.
 FEASIBILITY_TOL = simplex.FEASIBILITY_TOL
@@ -88,15 +87,6 @@ class ConstraintSystem:
             raise ValueError(f"expected exactly one normalization row, found {n_norm}")
         for name, value in (("a", a), ("row_lower", row_lower), ("row_upper", row_upper)):
             object.__setattr__(self, name, value)
-
-    def max_residual(self, p: np.ndarray) -> float:
-        """Largest violation of any row or of the unit box at ``p``.
-
-        ``p`` is one point or a ``k x n`` stack of points, one per row; the
-        stack's residual is the largest over its points.  This is the check
-        that :func:`ivprob.simplex.solve` applies to every witness.
-        """
-        return simplex._residual(self.a, self.row_lower, self.row_upper, 0.0, 1.0, p)
 
 
 def constraints_from_database(db: Database) -> ConstraintSystem:
@@ -159,6 +149,15 @@ def optimize(
     )
 
 
+def _straddles_one(table: IntervalDistribution) -> bool:
+    """True if ``table``'s bounds sum to at most 1 below and at least 1 above, in floats.
+
+    A table that fails this sits on the tolerance edge: it may pass
+    validation while its box holds no distribution.
+    """
+    return table.lower.sum() <= 1.0 <= table.upper.sum()
+
+
 def components(db: Database) -> list[tuple[tuple[IntervalDistribution, ...], tuple[str, ...]]]:
     """``db``'s components, the groups of tables linked by shared variables.
 
@@ -169,7 +168,7 @@ def components(db: Database) -> list[tuple[tuple[IntervalDistribution, ...], tup
     only an LP over every table decides the database, so all tables form
     one component.
     """
-    edge = not all(t.lower.sum() <= 1.0 <= t.upper.sum() for t in db.tables)
+    edge = not all(_straddles_one(t) for t in db.tables)
     groups = []  # per component: its variables and its tables' indices
     for k, table in enumerate(db.tables):
         names, members = set(table.space.names), [k]
@@ -193,12 +192,14 @@ def _feasible(db: Database) -> bool:
 def is_consistent(db: Database) -> bool:
     """True iff some joint distribution satisfies every table of ``db``.
 
-    One phase 1 over the whole database decides almost every database: the
-    marginals of a joint that passes it pass each component's phase 1.  Its
-    infeasibility is the sum of the components' infeasibilities, though, so
-    when it fails each component of :func:`components` is decided by its own
-    phase 1, as :func:`~ivprob.extension.extension_star` decides it.
+    Each component of :func:`components` is decided on its own, as
+    :func:`~ivprob.extension.extension_star` decides it: a lone table whose
+    sums straddle 1 in floats holds a distribution, and any other component
+    is decided by its own phase 1.
     """
-    return _feasible(db) or all(
-        _feasible(Database(tables, db.space.subspace(names))) for tables, names in components(db)
+    require_valid(db)
+    return all(
+        (len(tables) == 1 and _straddles_one(tables[0]))
+        or _feasible(Database(tables, db.space.subspace(names)))
+        for tables, names in components(db)
     )

@@ -19,7 +19,7 @@ from ivprob import Database, IntervalDistribution, RealDistribution, Scheme, Spa
 from ivprob import entropy
 from ivprob.entropy import IPF_MAX_SWEEPS, IPF_TOLERANCE
 from ivprob.errors import ConvergenceError, SolverError
-from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL
+from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL, _residual
 
 FEAS_TOL = 1e-9
 
@@ -61,11 +61,12 @@ def factored_join(p_flat, shape, u_axes, w_axes, z_axes) -> np.ndarray:
 def ipf_reference(db: Database) -> RealDistribution:
     """Maximum-entropy fit by per-table iterative proportional fitting.
 
-    The sweep loop ``entropy.maxent_ipf`` ran before it stacked the marginals:
-    every table's marginal is a fresh ``bincount`` both when it is fitted and
-    when the deviation is taken.  ``maxent_ipf`` must match it bit for bit,
-    in the joint it returns or in the message of the ``ConvergenceError`` it
-    raises.  Expects a valid database of real tables.
+    The sweep loop of ``entropy.maxent_ipf`` with neither its repeat skip nor
+    its certificate: every table's marginal is a fresh ``bincount`` both when
+    it is fitted and when the deviation is taken, after every sweep.
+    ``maxent_ipf`` must match it bit for bit, in the joint it returns or in
+    the message of the ``ConvergenceError`` it raises.  Expects a valid
+    database of real tables.
     """
     space = db.space
     n = space.cell_count
@@ -112,10 +113,10 @@ def ipf_outcome(fit, db: Database) -> tuple[bytes | str, bytes]:
     """What ``fit(db)`` ends with: (its joint's bytes or its error message, p).
 
     ``p`` is the bytes of the iterate after the last sweep.  Both IPF loops
-    end a sweep with a ``bincount`` weighted by it (``maxent_ipf`` by
-    ``p[cells]``, whose first n entries are ``p``), so the numpy of ``fit``'s
-    module is wrapped for the call to keep those weights.  A fit that skips to
-    the wrong phase of a cycle shows only in ``p``: its message prints three
+    end with the per-table ``bincount`` weighted by it that takes the
+    deviation they stop at or report, so the numpy of ``fit``'s module is
+    wrapped for the call to keep those weights.  A fit that skips to the
+    wrong phase of a cycle shows only in ``p``: its message prints three
     digits of a deviation that the phases share.
     """
     module = sys.modules[fit.__module__]
@@ -127,7 +128,7 @@ def ipf_outcome(fit, db: Database) -> tuple[bytes | str, bytes]:
         result = str(exc)
     finally:
         module.np = spy.numpy
-    p = b"" if spy.weights is None else spy.weights[: db.space.cell_count].tobytes()
+    p = b"" if spy.weights is None else spy.weights.tobytes()
     return result, p
 
 
@@ -341,6 +342,16 @@ def transfer_ascent_max_entropy(lower, upper, step: float = 1e-3) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # simplex reference kernel
+
+
+def max_residual(cs, p) -> float:
+    """Largest violation of any row of ``cs`` or of the unit box at ``p``.
+
+    ``p`` is one point or a ``k x n`` stack of points; the stack's residual is
+    the largest over its points.  This is the check that the solver applies
+    to every witness.
+    """
+    return _residual(cs.a, cs.row_lower, cs.row_upper, 0.0, 1.0, p)
 
 
 def three_solve_iterate(ax, lo_x, hi_x, cost, basis, at_upper):

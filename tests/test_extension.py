@@ -43,6 +43,7 @@ from conftest import (
 from oracles import (
     chain_cell_bounds,
     grid_linear_range,
+    max_residual,
     random_consistent_database,
     random_cover_scheme,
     random_interval,
@@ -237,7 +238,7 @@ def test_envelope_contains_all_witnesses_and_attains_endpoints(kernel_runs):
             for direction, endpoint in (("min", env.lower[cell]), ("max", env.upper[cell])):
                 out = optimize_one(cs, obj, direction)
                 x = last_witness(kernel_runs, n)
-                assert cs.max_residual(x) <= FEASIBILITY_TOL
+                assert max_residual(cs, x) <= FEASIBILITY_TOL
                 assert out.objective == pytest.approx(endpoint, abs=1e-9)
                 witness = RealDistribution(cs.space, x)
                 assert is_more_informative(witness.as_interval(), env, atol=1e-9)
@@ -774,7 +775,7 @@ def test_refactorized_inverse_keeps_witnesses_exact(monkeypatch, kernel_runs):
     # refactorization, so some run changed its basis _REFACTOR_INTERVAL times.
     assert len(inversions) > 2
     witnesses = np.array([end[2][: env.space.cell_count] for _, end in kernel_runs])
-    assert constraints_from_database(db).max_residual(witnesses) <= 1e-9
+    assert max_residual(constraints_from_database(db), witnesses) <= 1e-9
 
     def three_solve(ax, lo_x, hi_x, cost, basis, at_upper, binv):
         return three_solve_iterate(ax, lo_x, hi_x, cost, basis, at_upper)

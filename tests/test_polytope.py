@@ -14,6 +14,7 @@ from ivprob import (
     IntervalDistribution,
     SolverError,
     Space,
+    ValidationError,
     Variable,
     constraints_from_box,
     constraints_from_database,
@@ -24,11 +25,13 @@ from ivprob import (
     tighten,
     validate,
 )
-from ivprob.polytope import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL
+from ivprob.polytope import FEASIBILITY_TOL, OPTIMAL
+from ivprob.simplex import INFEASIBLE
 
 from conftest import last_witness, nonzeros, optimize_one, optimize_rows, shift_kernel_end
 from oracles import (
     grid_linear_range,
+    max_residual,
     random_consistent_database,
     random_interval,
     random_real,
@@ -60,19 +63,19 @@ def test_normalization_row_sums_all_cells(space_xy):
 def test_constraint_residual(space_xy):
     x = np.array([0.4, 0.0, 0.3, 0.3])
     above = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], 0.0, 0.5)
-    assert above.max_residual(x) == pytest.approx(0.2)
+    assert max_residual(above, x) == pytest.approx(0.2)
     below = _with_normalization(space_xy, [1.0, 0.0, 0.0, 0.0], 0.6, 1.0)
-    assert below.max_residual(x) == pytest.approx(0.2)
+    assert max_residual(below, x) == pytest.approx(0.2)
     eq = _with_normalization(space_xy, [0.0, 1.0, 0.0, 0.0], 0.1, 0.1)
-    assert eq.max_residual(x) == pytest.approx(0.1)
+    assert max_residual(eq, x) == pytest.approx(0.1)
     # A row of width zero is violated by the same gap from either side.
-    assert eq.max_residual(np.array([0.4, 0.2, 0.2, 0.2])) == pytest.approx(0.1)
+    assert max_residual(eq, np.array([0.4, 0.2, 0.2, 0.2])) == pytest.approx(0.1)
     ok = _with_normalization(space_xy, [1.0, 0.0, 1.0, 0.0], 0.5, 1.0)
-    assert ok.max_residual(x) == 0.0
+    assert max_residual(ok, x) == 0.0
     # The normalization row and the unit box are checked too.
-    assert ok.max_residual(np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
-    assert ok.max_residual(np.array([1.3, -0.3, 0.0, 0.0])) == pytest.approx(0.3)
-    assert ok.max_residual(np.array([0.7, -0.2, 0.3, 0.2])) == pytest.approx(0.2)
+    assert max_residual(ok, np.array([0.6, 0.0, 0.3, 0.3])) == pytest.approx(0.2)
+    assert max_residual(ok, np.array([1.3, -0.3, 0.0, 0.0])) == pytest.approx(0.3)
+    assert max_residual(ok, np.array([0.7, -0.2, 0.3, 0.2])) == pytest.approx(0.2)
 
 
 def test_residual_of_a_stack_is_the_largest_point_residual():
@@ -82,8 +85,8 @@ def test_residual_of_a_stack_is_the_largest_point_residual():
         cs = constraints_from_database(random_consistent_database(rng, sp))
         points = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 6)), sp.cell_count))
         points[rng.random(len(points)) < 0.3] = random_real(rng, sp).p  # some rows on the simplex
-        each = max(cs.max_residual(p) for p in points)
-        assert cs.max_residual(points) == pytest.approx(each, rel=1e-12, abs=1e-15)
+        each = max(max_residual(cs, p) for p in points)
+        assert max_residual(cs, points) == pytest.approx(each, rel=1e-12, abs=1e-15)
 
 
 def test_residual_of_a_stack_builds_no_stack_sized_temporary():
@@ -96,7 +99,7 @@ def test_residual_of_a_stack_builds_no_stack_sized_temporary():
     points = rng.uniform(-0.1, 1.1, size=(2048, 1024))
     tracemalloc.start()
     try:
-        resid = cs.max_residual(points)
+        resid = max_residual(cs, points)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,7 +262,7 @@ def test_optimize_marginal_cell_over_degenerate_database(db_d, kernel_runs):
     assert top.objective == pytest.approx(0.6, abs=1e-9)
     assert bot.objective == pytest.approx(0.3, abs=1e-9)
     assert witness @ obj == top.objective
-    assert cs.max_residual(witness) <= FEASIBILITY_TOL
+    assert max_residual(cs, witness) <= FEASIBILITY_TOL
 
 
 def test_optimize_rejects_bad_objectives(db_d):
@@ -303,7 +306,7 @@ def test_optimize_objective_matrix_matches_single_calls(db_d, db_i, kernel_runs)
             low = optimize_one(cs, -obj, "min")
             assert low.objective == -value
             np.testing.assert_array_equal(last_witness(kernel_runs, n), x)
-            assert cs.max_residual(x) <= FEASIBILITY_TOL
+            assert max_residual(cs, x) <= FEASIBILITY_TOL
 
 
 def test_optimize_checks_every_witness_of_the_batch(db_i, monkeypatch, kernel_runs):
@@ -455,11 +458,20 @@ def test_is_consistent_decides_each_component_on_its_own():
 
 
 def test_is_consistent_stops_after_phase_one(db_d, db_i, kernel_runs):
-    # The zero objective's bound 0 is reached by the phase-1 vertex itself.
-    for db in (db_d, db_i):
+    # db_d's lone tables straddle 1 and need no LP.  db_i's component stops
+    # after phase 1: its vertex reaches the zero objective's bound 0.
+    for db, runs in ((db_d, 0), (db_i, 1)):
         kernel_runs.clear()
         assert is_consistent(db)
-        assert len(kernel_runs) == 1
+        assert len(kernel_runs) == runs
+
+
+def test_is_consistent_refuses_an_invalid_lone_table(space_x, space_y):
+    # The lower bound above the upper one is invalid, yet the sums straddle 1.
+    bad = IntervalDistribution(space_x, np.array([0.6, 0.0]), np.array([0.5, 1.0]))
+    good = IntervalDistribution(space_y, np.array([0.6, 0.4]), np.array([0.6, 0.4]))
+    with pytest.raises(ValidationError):
+        is_consistent(Database((bad, good)))
 
 
 def test_infeasibility_magnitude_reported(space_x):
