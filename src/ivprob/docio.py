@@ -18,18 +18,22 @@ distribution) or a list of ``"tables"`` (a database of marginal tables)::
     }
 
 A scalar ``"p"`` denotes a degenerate interval.  Input rows may come in any
-order (keys identify cells) but must cover each cell exactly once.  Output is
+order (keys identify cells) but must cover each cell exactly once.  A table is
+parsed in one pass, each key looked up in a dict of the table's cells; a row
+whose key misses it, names a cell already read or lacks ``"p"`` takes every
+structural check, in order, so a problem raises the same
+:class:`DocumentError` message as a check of every row would.  Output is
 canonical: rows in row-major order, every number printed with 9 decimal
 places, degenerate cells printed as scalars — so serialized documents are
-byte-stable and diff-friendly.
+byte-stable and diff-friendly.  A table's row keys are built once, from each
+label's ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-
-import numpy as np
 
 from .errors import DocumentError, UnknownVariableError
 from .model import Database, IntervalDistribution, RealDistribution, Space, Variable
@@ -87,6 +91,27 @@ def _parse_variables(field) -> Space:
         raise DocumentError(str(exc)) from exc
 
 
+def _checked_index(row, names, space: Space, seen: list[bool]) -> int:
+    """The cell of ``row``, after every structural check of its key and ``"p"``."""
+    _expect(isinstance(row, dict), "each row must be an object")
+    key = row.get("key")
+    _expect(
+        isinstance(key, list) and all(isinstance(x, str) for x in key),
+        'row "key" must be a list of value labels',
+    )
+    _expect(
+        len(key) == len(names),
+        "row key {} must have one label per variable in {}", key, names,
+    )
+    try:
+        idx = space.cell_index(key)
+    except UnknownVariableError as exc:
+        raise DocumentError(str(exc)) from exc
+    _expect(not seen[idx], "duplicate row for key {}", key)
+    _expect("p" in row, 'row {} is missing "p"', key)
+    return idx
+
+
 def _parse_table(obj, ambient: Space) -> IntervalDistribution:
     _expect(isinstance(obj, dict), "each table must be an object")
     names = obj.get("vars")
@@ -102,30 +127,24 @@ def _parse_table(obj, ambient: Space) -> IntervalDistribution:
     rows = obj.get("rows")
     _expect(isinstance(rows, list), 'table "rows" must be a list')
 
-    lower = np.zeros(space.cell_count)
-    upper = np.zeros(space.cell_count)
-    seen = np.zeros(space.cell_count, dtype=bool)
+    cells = {labels: k for k, labels in enumerate(space.cells())}
+    lower = [0.0] * space.cell_count
+    upper = [0.0] * space.cell_count
+    seen = [False] * space.cell_count
     for row in rows:
-        _expect(isinstance(row, dict), "each row must be an object")
-        key = row.get("key")
-        _expect(
-            isinstance(key, list) and all(isinstance(x, str) for x in key),
-            'row "key" must be a list of value labels',
-        )
-        _expect(
-            len(key) == len(names),
-            "row key {} must have one label per variable in {}", key, names,
-        )
+        key = row.get("key") if type(row) is dict else None
         try:
-            idx = space.cell_index(key)
-        except UnknownVariableError as exc:
-            raise DocumentError(str(exc)) from exc
-        _expect(not seen[idx], "duplicate row for key {}", key)
+            idx = cells.get(tuple(key)) if type(key) is list else None
+        except TypeError:  # an unhashable label
+            idx = None
+        if idx is None or seen[idx] or "p" not in row:
+            # Only a row that fails a structural check gets here, and the
+            # checks raise their message.
+            idx = _checked_index(row, names, space, seen)
         seen[idx] = True
-        _expect("p" in row, 'row {} is missing "p"', key)
         lower[idx], upper[idx] = _parse_p(row["p"], key)
-    if not seen.all():
-        missing = space.cell_tuple(int(np.argmin(seen)))
+    if not all(seen):
+        missing = space.cell_tuple(seen.index(False))
         raise DocumentError(f"missing row for cell {list(missing)}")
     return IntervalDistribution(space, lower, upper)
 
@@ -198,17 +217,23 @@ def _variable_lines(space: Space, indent: str) -> list[str]:
     return lines
 
 
+def _row_keys(space: Space) -> list[str]:
+    """Each cell's key as ``json.dumps`` renders its list of labels, in cell order."""
+    labels = [[json.dumps(label) for label in var.domain] for var in space.variables]
+    return [f"[{', '.join(cell)}]" for cell in itertools.product(*labels)]
+
+
 def _table_lines(table: IntervalDistribution, indent: str) -> list[str]:
     space = table.space
     lines = [
         f'{indent}"vars": {json.dumps(list(space.names))},',
         f'{indent}"rows": [',
     ]
-    for j in range(space.cell_count):
-        key = json.dumps(list(space.cell_tuple(j)))
-        p = _format_p(float(table.lower[j]), float(table.upper[j]))
-        comma = "," if j + 1 < space.cell_count else ""
-        lines.append(f'{indent}  {{"key": {key}, "p": {p}}}{comma}')
+    rows = [
+        f'{indent}  {{"key": {key}, "p": {_format_p(lo, hi)}}}'
+        for key, lo, hi in zip(_row_keys(space), table.lower.tolist(), table.upper.tolist())
+    ]
+    lines.append(",\n".join(rows))
     lines.append(f"{indent}]")
     return lines
 
@@ -249,8 +274,8 @@ def _text_rows(table: IntervalDistribution) -> list[str]:
     space = table.space
     header = [*space.names, "p"]
     rows = [
-        [*space.cell_tuple(j), _format_p(float(table.lower[j]), float(table.upper[j]))]
-        for j in range(space.cell_count)
+        [*cell, _format_p(lo, hi)]
+        for cell, lo, hi in zip(space.cells(), table.lower.tolist(), table.upper.tolist())
     ]
     widths = [
         max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))

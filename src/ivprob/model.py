@@ -20,6 +20,7 @@ subsets of the variables; a :class:`Scheme` names such a collection of subsets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -170,7 +171,7 @@ class Space:
 
     def cells(self) -> Iterable[tuple[str, ...]]:
         """All cell tuples in canonical order."""
-        return (self.cell_tuple(k) for k in range(self.cell_count))
+        return itertools.product(*(v.domain for v in self.variables))
 
     def ordered_subset(self, names: Iterable[str]) -> tuple[str, ...]:
         """The given variable names, deduplicated, in this space's order."""
@@ -210,13 +211,13 @@ def _projection_map(space: Space, names: tuple[str, ...]) -> np.ndarray:
 
 
 def _as_cell_array(space: Space, values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+    arr = np.array(values, dtype=np.float64)  # a copy, even of an array
     if arr.shape != (space.cell_count,):
         raise ValueError(
             f"{what} must have one entry per cell "
             f"({space.cell_count}), got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -255,10 +256,18 @@ class IntervalDistribution:
     @property
     def is_degenerate(self) -> bool:
         """True when every interval has zero width (a real distribution)."""
-        return bool(np.all(self.lower == self.upper))
+        return bool((self.lower == self.upper).all())
 
     def violations(self) -> list[str]:
-        """Human-readable list of invariant violations (empty when valid)."""
+        """Human-readable list of invariant violations (empty when valid).
+
+        The bounds are read-only, so the list is computed on the first call;
+        every call returns a fresh copy of it.
+        """
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         out = []
         bad = (self.lower < 0.0) | (self.upper > 1.0) | (self.lower > self.upper)
         for j in np.flatnonzero(bad):
@@ -274,7 +283,7 @@ class IntervalDistribution:
             out.append(f"sum of lower bounds {self.lower.sum()} > 1")
         if compare_sum(float(self.upper.sum())) < 0:
             out.append(f"sum of upper bounds {self.upper.sum()} < 1")
-        return out
+        return tuple(out)
 
     def require_valid(self) -> "IntervalDistribution":
         problems = self.violations()

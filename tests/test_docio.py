@@ -159,6 +159,20 @@ STRUCTURAL_PROBLEMS = [
         lambda d: d["table"]["rows"][0].pop("p"),
         'row [\'0\', \'0\', \'0\'] is missing "p"',
     ),
+    # A string splits into the labels of a valid cell, a list label cannot
+    # be looked up, and a number is never a label.
+    (
+        lambda d: d["table"]["rows"][0].update(key="000"),
+        'row "key" must be a list of value labels',
+    ),
+    (
+        lambda d: d["table"]["rows"][0].update(key=[["0"], "0", "0"]),
+        'row "key" must be a list of value labels',
+    ),
+    (
+        lambda d: d["table"]["rows"][0].update(key=["0", "0", 0]),
+        'row "key" must be a list of value labels',
+    ),
 ]
 
 

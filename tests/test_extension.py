@@ -213,6 +213,25 @@ def test_tighten_rejects_unnormalizable_boxes(space_x):
         tighten(bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda i: project_interval(i, ["X"]), id="project_interval"),
+        pytest.param(lambda i: project_database(i, Scheme.parse("X|Y")), id="project_database"),
+        pytest.param(lambda i: reconstruct(i, Scheme.parse("X|Y")), id="reconstruct"),
+        pytest.param(lambda i: extension_star(Database((i,))), id="extension_star"),
+        pytest.param(
+            lambda i: constraints_from_database(Database((i,))), id="constraints_from_database"
+        ),
+    ],
+)
+def test_entry_points_refuse_an_invalid_table(space_xy, call):
+    # A lower bound above its upper one, while the sums straddle 1.
+    bad = IntervalDistribution(space_xy, [0.3, 0.2, 0.2, 0.2], [0.2, 0.3, 0.3, 0.3])
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
 def test_tighten_is_idempotent():
     rng = np.random.default_rng(37)
     for _ in range(15):

@@ -138,6 +138,18 @@ def test_interval_distribution_violations(space_xy):
     assert ok.violations() == []
 
 
+def test_violations_are_a_fresh_list_on_every_call(space_xy):
+    bad = IntervalDistribution(space_xy, [0.3, 0.2, 0.2, 0.2], [0.2, 0.3, 0.3, 0.3])
+    problems = bad.violations()
+    assert problems == ["cell (x1 y1): lower 0.3 > upper 0.2"]
+    problems.append("sum of lower bounds 2.0 > 1")
+    problems[0] = "edited"
+    assert bad.violations() == ["cell (x1 y1): lower 0.3 > upper 0.2"]
+    ok = IntervalDistribution(space_xy, [0.25] * 4, [0.25] * 4)
+    ok.violations().append("edited")
+    assert ok.violations() == []
+
+
 def test_interval_distribution_shape_and_finiteness(space_xy):
     with pytest.raises(ValueError):
         IntervalDistribution(space_xy, [0.1, 0.2], [0.3, 0.4])
