@@ -23,13 +23,15 @@ lower bound 0, unless they have a single cell.  If a table's lower bounds sum
 above 1 or upper bounds below 1 in floats (the tolerance edge), all tables
 form one component, decided by one LP.  Off the edge a one-table component
 takes its reachable bounds, and any other the joint LP over its variables.
-The joint LP maximizes ``-p_j`` and ``p_j`` for every joint cell ``j`` over
-the database polytope in one simplex call, one phase 1 for the polytope and
-then one phase 2 per endpoint still open.  The ``2n`` objectives go to the
-solver as their ``2n`` unit nonzeros, and only the ``2n`` values come back.
-An endpoint is open until some witness reaches its valid bound: 0 for
-``-p_j``, and for ``p_j`` the least upper bound of the table cells that hold
-the cell (and 1).  Every LP endpoint is attained by its LP witness or by the
+The joint LP maximizes ``p_j`` and then ``-p_j`` for every joint cell ``j``
+over the database polytope in one simplex call, one phase 1 for the polytope
+and then one phase 2 per endpoint still open.  The ``2n`` objectives go to
+the solver as their ``2n`` unit nonzeros, and only the ``2n`` values come
+back.  An endpoint is open until some witness reaches its valid bound: for
+``p_j`` the least upper bound of the table cells that hold the cell (and 1),
+and 0 for ``-p_j``.  The maxima go first because a witness that pushes one
+cell to its cap leaves many others at 0, which proves their minima without
+runs of their own.  Every LP endpoint is attained by its LP witness or by the
 earlier witness that reached its bound, and the solver checks each such
 witness at 1e-9.
 """
@@ -119,23 +121,24 @@ def _joint_envelope(db: Database) -> IntervalDistribution:
     """``extension_star`` by the joint LP, for any database."""
     cs = constraints_from_database(db)
     n = cs.space.cell_count
-    # One simplex call maximizes -p_j (row j) and p_j (row n + j) for every
-    # cell: its shared phase 1 is the feasibility probe, so an empty system
-    # fails with one clear error.  No -p_j exceeds 0, and no p_j the least
-    # upper bound of the table cells that hold cell j; a witness that reaches
-    # such a bound proves that endpoint without its own LP.
+    # One simplex call maximizes p_j (row j) and then -p_j (row n + j) for
+    # every cell: its shared phase 1 is the feasibility probe, so an empty
+    # system fails with one clear error.  No p_j exceeds the least upper bound
+    # of the table cells that hold cell j, and no -p_j exceeds 0; a witness
+    # that reaches such a bound proves that endpoint without its own LP.  The
+    # maxima run first: their witnesses sit at vertices with many zero cells.
     caps = [t.upper[cs.space.projection_map(t.space.names)] for t in db.tables]
     cap = np.min(caps + [np.ones(n)], axis=0)
-    objectives = (np.arange(2 * n), np.tile(np.arange(n), 2), np.repeat([-1.0, 1.0], n))
-    result = optimize(cs, objectives, np.concatenate([np.zeros(n), cap]))
+    objectives = (np.arange(2 * n), np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n))
+    result = optimize(cs, objectives, np.concatenate([cap, np.zeros(n)]))
     if result.status != OPTIMAL:
         raise InfeasibleError(
             "no joint distribution satisfies the constraints",
             infeasibility=result.infeasibility,
         )
     # 0.0 - v, not -v: a zero lower endpoint stays +0.0 rather than -0.0.
-    lower = 0.0 - result.objective[:n]
-    return _scrubbed(cs.space, lower, result.objective[n:])
+    lower = 0.0 - result.objective[n:]
+    return _scrubbed(cs.space, lower, result.objective[:n])
 
 
 def joint_intervals(db: Database) -> IntervalDistribution:

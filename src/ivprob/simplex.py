@@ -243,47 +243,51 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
     one exactly at the bound it hit.  ``sign`` is +1 for a nonbasic variable
     at its lower bound, -1 at its upper bound and 0 for a basic or fixed
     one, so a column may enter exactly when its reduced cost times ``sign``
-    exceeds ``FEASIBILITY_TOL``.  The basis's bounds are kept as lists for
-    the ratio test.
+    exceeds ``FEASIBILITY_TOL``.  The column bounds are read once per run as
+    lists of Python floats, and the basic values, the step and the basis's
+    bounds are kept as lists, so the ratio test and the pivot bookkeeping
+    handle no numpy scalars; each float operation is the one a numpy array
+    would do, so every run ends at the same bits.
     """
     m, n_tot = ax.shape
     max_iter = 200 * (n_tot + m) + 1000
     sign = np.where(at_upper, -1.0, 1.0)
     sign[lo_x == hi_x] = 0.0
     sign[basis] = 0.0
+    lo_l, hi_l = lo_x.tolist(), hi_x.tolist()
     cols = basis.tolist()
-    lo_b = lo_x[basis].tolist()
-    hi_b = hi_x[basis].tolist()
+    lo_b = [lo_l[j] for j in cols]
+    hi_b = [hi_l[j] for j in cols]
     updates = 0
     xb = None
     for _ in range(max_iter):
         if xb is None:
             x = np.where(at_upper, hi_x, lo_x)
             x[basis] = 0.0
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise SolverError("nonbasic variable resting at an infinite bound")
-            xb = binv @ -(ax @ x)
+            xb = (binv @ -(ax @ x)).tolist()
 
         y = cost[basis] @ binv
         can_enter = sign * (cost - y @ ax) > FEASIBILITY_TOL
-        e = int(np.argmax(can_enter))  # Bland: smallest eligible index
+        e = int(can_enter.argmax())  # Bland: smallest eligible index
         if not can_enter[e]:
             x = np.where(at_upper, hi_x, lo_x)
             x[basis] = xb
             return basis, at_upper, x
 
-        delta = sign[e]
         w = binv @ ax[:, e]
-        step = delta * w  # basic values move by -t * step
+        w_l = w.tolist()
+        up_e = bool(at_upper[e])
+        step = [-v for v in w_l] if up_e else w_l  # basic values move by -t * step
 
         # Ratio test, including the entering variable's own bound span.  It
         # runs on Python floats: at a few dozen rows a loop over lists beats
         # numpy's per-call overhead.
-        best_t = float(hi_x[e] - lo_x[e])
+        best_t = hi_l[e] - lo_l[e]
         best_col = e
         best_row = -1
-        for i, (si, xi, li, ui, col) in enumerate(zip(step.tolist(), xb.tolist(), lo_b, hi_b,
-                                                      cols)):
+        for i, (si, xi, li, ui, col) in enumerate(zip(step, xb, lo_b, hi_b, cols)):
             if si > PIVOT_TOL:
                 t = (xi - li) / si
             elif si < -PIVOT_TOL:
@@ -298,19 +302,19 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
         if not math.isfinite(best_t):
             raise SolverError("unbounded direction in a box-bounded program")
 
-        xb -= best_t * step
+        xb = [xi - best_t * si for xi, si in zip(xb, step)]
         if best_row < 0:
-            at_upper[e] = not at_upper[e]  # bound flip, basis unchanged
-            sign[e] = -delta
+            at_upper[e] = not up_e  # bound flip, basis unchanged
+            sign[e] = 1.0 if up_e else -1.0
             continue
         leaving = cols[best_row]
-        up = bool(step[best_row] < 0.0)  # hit which of its bounds
+        up = step[best_row] < 0.0  # hit which of its bounds
         at_upper[leaving] = up
-        sign[leaving] = 0.0 if lo_x[leaving] == hi_x[leaving] else (-1.0 if up else 1.0)
-        xb[best_row] = lo_x[e] + best_t if delta > 0.0 else hi_x[e] - best_t
+        sign[leaving] = 0.0 if lo_l[leaving] == hi_l[leaving] else (-1.0 if up else 1.0)
+        xb[best_row] = hi_l[e] - best_t if up_e else lo_l[e] + best_t
         basis[best_row] = cols[best_row] = e
-        lo_b[best_row] = float(lo_x[e])
-        hi_b[best_row] = float(hi_x[e])
+        lo_b[best_row] = lo_l[e]
+        hi_b[best_row] = hi_l[e]
         sign[e] = 0.0
         updates += 1
         if updates == _REFACTOR_INTERVAL:
@@ -318,7 +322,7 @@ def _iterate(ax, lo_x, hi_x, cost, basis, at_upper, binv):
             updates = 0
             xb = None
         else:
-            pivot = binv[best_row] / w[best_row]
-            binv -= np.outer(w, pivot)
+            pivot = binv[best_row] / w_l[best_row]
+            binv -= w[:, None] * pivot
             binv[best_row] = pivot
     raise SolverError(f"no convergence within {max_iter} pivots")

@@ -23,6 +23,7 @@ from ivprob import (
     is_consistent,
     is_more_informative,
     joint_intervals,
+    optimize,
     project_database,
     project_interval,
     project_real,
@@ -494,8 +495,10 @@ def test_extension_star_runs_phase_one_once(db_i, kernel_runs):
     # prices structural columns only.
     phase_one = [cost[n:].any() for (_, _, _, cost, _, _), _ in kernel_runs]
     assert phase_one[0] and not any(phase_one[1:])
-    # Witness reuse proves 11 of the 16 endpoints, so 5 phase 2 runs remain.
-    assert len(phase_one) - 1 == 5
+    # Witness reuse proves 9 of the 16 endpoints, so 7 phase 2 runs remain.
+    # The maxima run first, which pays on larger tables (see the chain count
+    # below) but on this 8-cell one proves two endpoints fewer.
+    assert len(phase_one) - 1 == 7
 
 
 def _chain_database(rng, shape, kind):
@@ -511,6 +514,30 @@ def _chain_database(rng, shape, kind):
         for k in range(len(shape) - 1)
     )
     return Database(tables, space=space)
+
+
+#: Three-variable shapes of 8 to 16 cells, the sizes of the benchmark's joints.
+_SMALL_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2))
+
+
+def test_maxima_first_saves_runs_on_two_table_chains(kernel_runs):
+    rng = np.random.default_rng(37)
+    dbs = [_chain_database(rng, shape, "interval") for shape in _SMALL_SHAPES for _ in range(2)]
+    envelopes = [extension_star(db) for db in dbs]
+    maxima_first = len(kernel_runs)
+    kernel_runs.clear()
+    for db, env in zip(dbs, envelopes):
+        # The same 2n endpoints and bounds, minima first.
+        cs = constraints_from_database(db)
+        n = cs.space.cell_count
+        caps = [t.upper[cs.space.projection_map(t.space.names)] for t in db.tables]
+        bounds = np.concatenate([np.zeros(n), np.min(caps + [np.ones(n)], axis=0)])
+        objectives = (np.arange(2 * n), np.tile(np.arange(n), 2), np.repeat([-1.0, 1.0], n))
+        values = optimize(cs, objectives, bounds).objective
+        np.testing.assert_allclose(0.0 - values[:n], env.lower, atol=1e-15, rtol=0.0)
+        np.testing.assert_allclose(values[n:], env.upper, atol=1e-15, rtol=0.0)
+    # Runs of both phases; 8 of them are phase 1 in either order.
+    assert (maxima_first, len(kernel_runs)) == (94, 121)
 
 
 def _highs_envelope(db):
@@ -774,6 +801,39 @@ def test_kept_inverse_follows_the_three_solve_pivot_path_on_chains(kernel_runs):
     for shape in ((3, 3), (2, 3, 4), (4, 4, 3)):
         for kind in ("interval", "real", "mixed", "degenerate"):
             extension_star(_chain_database(rng, shape, kind))
+    assert_runs_follow_three_solve_kernel(kernel_runs)
+
+
+def _quarter_tight_joint(rng, shape):
+    """An interval joint on V1, V2, V3 around a hidden joint ``p``.
+
+    As in the benchmark's joints, a quarter of the cells have a lower bound
+    5-50% below ``p`` and the rest have lower bound 0; every upper bound is
+    5-50% above ``p``, plus up to 0.2 on the cells of lower bound 0.
+    """
+    space = Space(tuple(
+        Variable(f"V{k + 1}", tuple(f"v{k + 1}.{m + 1}" for m in range(size)))
+        for k, size in enumerate(shape)
+    ))
+    n = space.cell_count
+    p = random_real(rng, space).p
+    tight = rng.permutation(n) < round(0.25 * n)
+    lower = np.where(tight, p * rng.uniform(0.5, 0.95, n), 0.0)
+    slack = np.where(tight, 0.0, rng.uniform(0.0, 0.2, n))
+    upper = np.minimum(p * rng.uniform(1.05, 1.5, n) + slack, 1.0)
+    return IntervalDistribution(space, lower, upper)
+
+
+def test_kept_inverse_follows_the_three_solve_pivot_path_on_reconstructions(kernel_runs):
+    # The LPs of reconstructing 8- to 16-cell joints onto a chain and a
+    # triangle; their runs flip bounds and leave basic variables at upper
+    # bounds, not only at lower ones.
+    rng = np.random.default_rng(29)
+    for shape in _SMALL_SHAPES:
+        for _ in range(3):
+            joint = _quarter_tight_joint(rng, shape)
+            for scheme in ("V1,V2|V2,V3", "V1,V2|V2,V3|V1,V3"):
+                reconstruct(joint, Scheme.parse(scheme))
     assert_runs_follow_three_solve_kernel(kernel_runs)
 
 
