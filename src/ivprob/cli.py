@@ -7,12 +7,17 @@ number.  Exit codes are a stable contract: 0 success, 1 domain failure
 (invalid tables, inconsistency, refused enumerations, spaces beyond
 ``model.SPACE_CELL_CAP`` cells), 2 usage or file/parse
 failure, 3 internal solver failure (a bug, not bad input).
+
+The command runs the OpenBLAS that numpy loaded on one thread unless
+``OPENBLAS_NUM_THREADS`` sets a count; importing the package changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import os
 import sys
 
 from .docio import format_scalar, load_document, serialize_document
@@ -241,7 +246,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS that numpy loaded on one thread, once per process.
+
+    On two cores, default threading made the LP's basis refactorizations
+    slower, and far slower beside a second run.  A count set in the
+    environment is left alone, as is a BLAS without the OpenBLAS symbol.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            if hasattr(dll, symbol):
+                set_threads = getattr(dll, symbol)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -7,7 +7,8 @@ with the same result, once its iterate repeats, and skips its stopping test
 when two tables disagree too far on a shared marginal for it ever to pass;
 and the two ends of an interval distribution's entropy range, which the
 measures ``measure_u1`` and ``measure_u2`` report: the maximum by exact
-water-filling, the minimum by enumerating the vertices of the box.
+water-filling, the minimum by screening the vertices of the box with a
+cheap score and evaluating only the near-least ones exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, EnumerationLimitError, SpaceMismatchError
 from .extension import project_real
 from .model import (
+    SUM_TOLERANCE,
     Database,
     IntervalDistribution,
     RealDistribution,
@@ -33,6 +35,11 @@ IPF_TOLERANCE = 1e-10
 IPF_MAX_SWEEPS = 10_000
 #: Refuse exact entropy minimization beyond this many cells (exponential).
 MINENT_CELL_CAP = 16
+#: ``box_minent`` evaluates exactly the candidates scored within this of the
+#: least score; its comment on the shortlist shows why 1e-7 is enough.
+MINENT_MARGIN = 1e-7
+#: Endpoint patterns per array in ``box_minent``, which bounds its memory.
+MINENT_BLOCK = 4096
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -231,20 +238,54 @@ def measure_u1(i: IntervalDistribution) -> float:
     return shannon_entropy(box_maxent(i))
 
 
+def _plogp(x: np.ndarray) -> np.ndarray:
+    """-x log2 x per cell, 0 at 0: a zero is read as the least subnormal (log2 -1074)."""
+    return -x * np.log2(np.maximum(x, 5e-324))
+
+
+def _endpoint_grid(i: IntervalDistribution, patterns: np.ndarray):
+    """(bits, rows): bit ``j`` of a pattern puts cell ``j`` at its upper bound."""
+    cells = np.arange(i.lower.size)
+    bits = (patterns[:, None] >> cells) & 1
+    return bits, np.array((i.lower, i.upper))[bits, cells]
+
+
+def _vertices(i: IntervalDistribution, patterns: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Normalized candidates: each pattern's row, with cell ``slack`` taking the slack.
+
+    Row by row these are the float expressions of enumerating every pattern,
+    so each row comes out with the same bits.
+    """
+    _, points = _endpoint_grid(i, patterns)
+    rest = points.sum(axis=1) - i.lower[slack]  # the sum of the other cells
+    fill = np.clip(1.0 - rest, i.lower[slack], i.upper[slack])
+    points[np.arange(slack.size), slack] = fill
+    points /= points.sum(axis=1, keepdims=True)
+    return points
+
+
 def box_minent(i: IntervalDistribution) -> RealDistribution:
     """An entropy minimizer over ``{p : i.lower <= p <= i.upper, sum = 1}``.
 
     Entropy is strictly concave, so a minimum lies at a vertex of the feasible
     polytope, and each vertex has at most one cell strictly between its
-    bounds.  One grid of the ``2^n`` endpoint patterns yields them all: for
-    each cell ``f``, the rows with ``f`` at its lower bound, ``f`` reset to
-    absorb the slack when that lands inside ``f``'s bounds (by
+    bounds.  The ``2^n`` endpoint patterns yield them all: for each cell
+    ``f``, the patterns with ``f`` at its lower bound, ``f`` reset to absorb
+    the slack when that lands inside ``f``'s bounds (by
     :func:`~ivprob.model.compare_sum`).  A vertex with every cell at an
     endpoint is among them too: it is the candidate of any cell at its lower
-    bound, and the all-upper vertex is the candidate of every cell.  Each
-    candidate is divided by its sum, and the first of least entropy wins.
-    This is exponential in the cell count and refuses spaces larger than
-    ``MINENT_CELL_CAP`` cells.
+    bound, and the all-upper vertex is the candidate of every cell.
+
+    The search runs in two stages and returns the point that dividing every
+    candidate by its sum and taking the first of least entropy would: groups
+    in ``f`` order, the first least value within a group, and a later group
+    winning only by more than 1e-15.  The screen drops the patterns whose
+    sum rules out every candidate, then scores every other candidate,
+    ``MINENT_BLOCK`` patterns at a time, by its entropy before dividing by
+    the sum, ``log2`` only on feasible ones.  The exact pass divides and
+    evaluates only the candidates scored within ``MINENT_MARGIN`` of the
+    least score, and applies the rule to them.  This is still exponential in
+    the cell count and refuses spaces larger than ``MINENT_CELL_CAP`` cells.
     """
     i.require_valid()
     n = i.space.cell_count
@@ -253,28 +294,82 @@ def box_minent(i: IntervalDistribution) -> RealDistribution:
             f"exact entropy minimization enumerates 2^{n} endpoint patterns; "
             f"refusing beyond {MINENT_CELL_CAP} cells"
         )
-    at_upper = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    grid = np.where(at_upper, i.upper, i.lower)
-    sums = grid.sum(axis=1)
-    best_value, best_point = np.inf, None
-    for f in range(n):  # cell f absorbs the slack, the rest at endpoints
-        rows = ~at_upper[:, f]
-        rest = sums[rows] - i.lower[f]  # the sum of the other cells
-        ok = compare_sum(rest + i.lower[f]) <= 0
-        ok &= compare_sum(rest + i.upper[f]) >= 0
-        points = grid[rows][ok]
-        points[:, f] = np.clip(1.0 - rest[ok], i.lower[f], i.upper[f])
-        if points.size:
-            points /= points.sum(axis=1, keepdims=True)
-            values = _entropy_bits(points)
-            t = int(np.argmin(values))
-            if values[t] < best_value - 1e-15:
-                best_value, best_point = float(values[t]), points[t]
-    if best_point is None:
+    lower, upper = i.lower, i.upper
+    h_lower, h_upper = _plogp(np.array((lower, upper)))
+    # What cell j at its upper bound adds to a pattern's sum and to its sum of
+    # -x log2 x.  Doubling over the cells gives both for every pattern, to
+    # rounding, without a 2^n x n array.
+    steps = np.array((upper - lower, h_upper - h_lower)).T
+    subset = np.empty((2**n, 2))
+    subset[0] = lower.sum(), h_lower.sum()
+    for j in range(n):
+        np.add(subset[: 2**j], steps[j], out=subset[2**j : 2 ** (j + 1)])
+    approx, mass = subset.T
+    # A pattern with a feasible candidate sums to at most 1 + SUM_TOLERANCE,
+    # and to at least 1 - SUM_TOLERANCE less the width of its slack cell.
+    # Sums of at most 16 terms in [0, 1] round by less than 1e-13, in approx
+    # and in the feasibility test alike, so 1e-12 more keeps every such row.
+    slop = SUM_TOLERANCE + 1e-12
+    near = np.flatnonzero(
+        (approx <= 1.0 + slop) & (approx >= 1.0 - slop - steps[:, 0].max())
+    )
+    least, shortlist = np.inf, []  # (keys, scores) within the margin, per block
+    for start in range(0, near.size, MINENT_BLOCK):
+        patterns = near[start : start + MINENT_BLOCK]
+        bits, grid = _endpoint_grid(i, patterns)
+        rest = grid.sum(axis=1)[:, None] - lower  # per pattern and slack cell
+        ok = (bits == 0) & (compare_sum(rest + lower) <= 0)
+        ok &= compare_sum(rest + upper) >= 0
+        rows, slack = np.nonzero(ok)
+        x = np.clip(1.0 - rest[rows, slack], lower[slack], upper[slack])
+        score = mass[patterns[rows]] - h_lower[slack] + _plogp(x)
+        low = score.min(initial=np.inf)
+        if low < least:
+            least = low
+            shortlist = [
+                (k[s <= least + MINENT_MARGIN], s[s <= least + MINENT_MARGIN])
+                for k, s in shortlist
+            ]
+        new = score <= least + MINENT_MARGIN
+        keys = slack[new] * 2**n + patterns[rows[new]]  # below 2^20: int32 holds it
+        shortlist.append((keys.astype(np.int32), score[new]))
+    if least == np.inf:
         # Unreachable for a valid interval table, whose box always meets the
         # simplex; kept as a guard for tolerance pathologies.
         raise ConvergenceError("no feasible endpoint pattern found")
-    return RealDistribution(i.space, best_point)
+    # Why the shortlist is enough.  A candidate x with float sum S has entropy
+    # H(x / S) = G / S + log2 S, where G = sum -x log2 x is its score, so the
+    # two differ by at most |log2 S| + log2(16) |1/S - 1|.  Feasibility puts S
+    # within SUM_TOLERANCE and a few ulps of 1, so with rounding the gap is
+    # d < 6e-9.  Let E be the least exact value and T = MINENT_MARGIN - 2d.
+    # Every candidate within T of E scores within MINENT_MARGIN of the least
+    # score, so a group whose least value is within T of E keeps that value
+    # and its first position; any other group keeps a larger least value, or
+    # none, and both are above E + T.  Run the group rule over all candidates
+    # (A) and over the shortlist (B).  After k groups, A and B agree, or both
+    # hold a best value above E + T - k * 2e-15: a group above E + T moves
+    # only a best that is above it, and a group within T either moves both
+    # bests to its own value or leaves each above the bound (2e-15 covers
+    # 1e-15 and the rounding of best - 1e-15).  A ends within 2e-15 of E, far
+    # below E + T - 16 * 2e-15, so A and B agree.
+    keys = np.concatenate([k for k, _ in shortlist])
+    del shortlist
+    keys.sort()
+    slack, patterns = np.divmod(keys, 2**n)  # by slack cell, then by pattern
+    values = np.empty(keys.size)
+    for first in range(0, keys.size, MINENT_BLOCK):
+        chunk = slice(first, first + MINENT_BLOCK)
+        points = _vertices(i, patterns[chunk], slack[chunk])
+        values[chunk] = _entropy_bits(points)
+    best_value, best, start = np.inf, 0, 0
+    for end in [*(np.flatnonzero(np.diff(slack)) + 1).tolist(), keys.size]:
+        t = start + int(np.argmin(values[start:end]))  # the group's first least value
+        if values[t] < best_value - 1e-15:
+            best_value, best = values[t], t
+        start = end
+    if best < first:  # an earlier chunk held the winner: rebuild its row
+        points, best = _vertices(i, patterns[best : best + 1], slack[best : best + 1]), first
+    return RealDistribution(i.space, points[best - first])
 
 
 def measure_u2(i: IntervalDistribution) -> float:

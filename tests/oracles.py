@@ -17,8 +17,9 @@ import numpy as np
 
 from ivprob import Database, IntervalDistribution, RealDistribution, Scheme, Space, Variable
 from ivprob import entropy
-from ivprob.entropy import IPF_MAX_SWEEPS, IPF_TOLERANCE
-from ivprob.errors import ConvergenceError, SolverError
+from ivprob.entropy import IPF_MAX_SWEEPS, IPF_TOLERANCE, MINENT_CELL_CAP, _entropy_bits
+from ivprob.errors import ConvergenceError, EnumerationLimitError, SolverError
+from ivprob.model import compare_sum
 from ivprob.simplex import FEASIBILITY_TOL, PIVOT_TOL, _residual
 
 FEAS_TOL = 1e-9
@@ -282,6 +283,45 @@ def feasible_vertices(lower, upper, tol: float = FEAS_TOL) -> np.ndarray:
 def min_entropy_by_vertices(lower, upper) -> float:
     """Exact minimum entropy: scan every polytope vertex."""
     return min(entropy_bits(v) for v in feasible_vertices(lower, upper))
+
+
+def box_minent_reference(i: IntervalDistribution) -> RealDistribution:
+    """``entropy.box_minent`` as one plain pass over every endpoint pattern.
+
+    For each cell ``f``, the patterns with ``f`` at its lower bound, ``f``
+    reset to absorb the slack when that lands inside ``f``'s bounds.  Each
+    candidate is divided by its sum, and the first of least entropy wins: the
+    first least value within a group of one ``f``, and a later group only if
+    it is lower by more than 1e-15.  ``box_minent`` must return the same
+    bytes while evaluating only a shortlist exactly.
+    """
+    i.require_valid()
+    n = i.space.cell_count
+    if n > MINENT_CELL_CAP:
+        raise EnumerationLimitError(
+            f"exact entropy minimization enumerates 2^{n} endpoint patterns; "
+            f"refusing beyond {MINENT_CELL_CAP} cells"
+        )
+    at_upper = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    grid = np.where(at_upper, i.upper, i.lower)
+    sums = grid.sum(axis=1)
+    best_value, best_point = np.inf, None
+    for f in range(n):  # cell f absorbs the slack, the rest at endpoints
+        rows = ~at_upper[:, f]
+        rest = sums[rows] - i.lower[f]  # the sum of the other cells
+        ok = compare_sum(rest + i.lower[f]) <= 0
+        ok &= compare_sum(rest + i.upper[f]) >= 0
+        points = grid[rows][ok]
+        points[:, f] = np.clip(1.0 - rest[ok], i.lower[f], i.upper[f])
+        if points.size:
+            points /= points.sum(axis=1, keepdims=True)
+            values = _entropy_bits(points)
+            t = int(np.argmin(values))
+            if values[t] < best_value - 1e-15:
+                best_value, best_point = float(values[t]), points[t]
+    if best_point is None:
+        raise ConvergenceError("no feasible endpoint pattern found")
+    return RealDistribution(i.space, best_point)
 
 
 def sample_box_simplex(lower, upper, count: int, rng) -> np.ndarray:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +429,52 @@ def test_oversized_space_is_refused_before_allocation(capsys, tmp_path, variable
         assert out == ""
         assert err.startswith("error: a space of ") and err.endswith("refusing beyond 4096 cells\n")
         assert "Traceback" not in err
+
+
+BLAS_PROBE = """
+import ctypes, sys
+
+def blas_threads():  # read as perfbench/run.py reads it
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(dll, symbol):
+                return str(getattr(dll, symbol)())
+    return "unknown"
+
+import numpy
+counts = [blas_threads()]
+import ivprob
+counts.append(blas_threads())
+from ivprob.cli import main
+main(["validate", sys.argv[1]])
+main(["validate", sys.argv[1]])
+counts.append(blas_threads())
+print(*counts)
+"""
+
+
+@pytest.mark.parametrize("count", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_the_environment_sets_a_count(count):
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps to find the BLAS library by")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if count is not None:
+        env["OPENBLAS_NUM_THREADS"] = count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, str(FIXTURES / "db_d.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded, imported, after_main = done.stdout.split()[-3:]
+    if loaded == "unknown":
+        pytest.skip("numpy did not load an OpenBLAS")
+    assert imported == loaded  # importing the package changes nothing
+    assert after_main == (count or "1")
 
 
 def test_command_sequence_repeats_in_one_process(capsys):

@@ -22,7 +22,7 @@ from ivprob import (  # noqa: E402
     shannon_entropy,
 )
 from ivprob.model import SUM_TOLERANCE  # noqa: E402
-from oracles import ipf_outcome, ipf_reference  # noqa: E402
+from oracles import box_minent_reference, ipf_outcome, ipf_reference  # noqa: E402
 
 
 @st.composite
@@ -67,6 +67,57 @@ def test_entropy_range_ends_lie_in_the_box(i):
     for p in (top.p, bottom.p):
         assert np.all(p >= i.lower - atol) and np.all(p <= i.upper + atol)
     assert shannon_entropy(bottom) <= shannon_entropy(top) + 1e-12
+
+
+def _same_minimizer(i) -> bool:
+    return box_minent(i).p.tobytes() == box_minent_reference(i).p.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(boxes())
+def test_minent_matches_the_plain_enumeration_bit_for_bit(i):
+    assert _same_minimizer(i)
+
+
+@st.composite
+def tied_boxes(draw):
+    """Boxes whose vertices tie: every cell in [0, 1], or every cell in one [a, b].
+
+    With one interval for every cell, every vertex is a permutation of one
+    profile, so the least entropy is tied across groups and within them up
+    to rounding.  ``a = b`` gives the one point of the box.
+    """
+    n = draw(st.integers(1, 12))
+    space = Space((Variable("V", tuple(f"v{k}" for k in range(n))),))
+    kind = draw(st.sampled_from(["free", "shared", "point"]))
+    if kind == "free":
+        return IntervalDistribution(space, np.zeros(n), np.ones(n))
+    scale = 1.0 + draw(st.sampled_from([0.0, -1.0, 1.0])) * SUM_TOLERANCE
+    if kind == "point":
+        a = b = scale / n
+    else:
+        a = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)) / n * scale
+        b = min(1.0, draw(st.sampled_from([1.0, 1.5, 2.0, n]) | st.floats(1.0, n)) / n * scale)
+    box = IntervalDistribution(space, np.full(n, a), np.full(n, b))
+    assume(not box.violations())
+    return box
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_boxes())
+def test_minent_keeps_the_tie_rule_of_the_plain_enumeration(i):
+    assert _same_minimizer(i)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_minent_matches_the_plain_enumeration_up_to_the_cap(n):
+    rng = np.random.default_rng(n)
+    space = Space((Variable("V", tuple(f"v{k}" for k in range(n))),))
+    for width in (0.0, 1e-9, 0.01, 0.1, 0.5):
+        p = rng.dirichlet(np.ones(n))
+        lower = np.clip(p - rng.uniform(0.0, width, n), 0.0, None)
+        upper = np.clip(p + rng.uniform(0.0, width, n), None, 1.0)
+        assert _same_minimizer(IntervalDistribution(space, lower, upper))
 
 
 @st.composite
