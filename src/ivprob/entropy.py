@@ -44,8 +44,7 @@ MINENT_BLOCK = 4096
 
 def _entropy_bits(p: np.ndarray) -> float:
     """-sum p log2 p with the 0 log 0 = 0 convention; supports 2-d batches."""
-    terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    return _plogp(p).sum(axis=-1)
 
 
 def shannon_entropy(p: RealDistribution) -> float:
@@ -59,9 +58,7 @@ def _split_variables(p: RealDistribution, target, given) -> tuple[tuple, tuple]:
     given_names = p.space.ordered_subset(given) if given else ()
     overlap = set(target_names) & set(given_names)
     if overlap:
-        raise ValueError(
-            f"target and conditioning variables overlap: {sorted(overlap)}"
-        )
+        raise ValueError(f"variable sets overlap: {sorted(overlap)}")
     return target_names, given_names
 
 
@@ -385,12 +382,7 @@ def mvd_strength(p: RealDistribution, u, w) -> float:
     splits losslessly into its (u ∪ w) and (u ∪ z) marginals — and otherwise
     the divergence between ``p`` and that split.
     """
-    u = tuple(u)  # read a one-shot iterable once
-    u_names = p.space.ordered_subset(u) if u else ()
-    w_names = p.space.ordered_subset(w)
-    overlap = set(u_names) & set(w_names)
-    if overlap:
-        raise ValueError(f"dependency variable sets overlap: {sorted(overlap)}")
+    w_names, u_names = _split_variables(p, w, u)
     z_names = tuple(
         name for name in p.space.names if name not in set(u_names) | set(w_names)
     )

@@ -2,8 +2,9 @@
 
 A :class:`Space` is an ordered list of finitely-valued variables and fixes a
 canonical enumeration of the joint cells: row-major lexicographic order of the
-domain indices, first variable slowest.  All distributions, tables and file
-formats in this package use that order.
+domain indices, first variable slowest, which is numpy's mixed-radix code
+(``np.ravel_multi_index``/``np.unravel_index`` over the domain sizes).  All
+distributions, tables and file formats in this package use that order.
 
 Distributions come in two flavours:
 
@@ -80,11 +81,6 @@ class Variable:
     def size(self) -> int:
         return len(self.domain)
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        """Each value label's index in ``domain``."""
-        return {label: k for k, label in enumerate(self.domain)}
-
 
 @dataclass(frozen=True)
 class Space:
@@ -93,9 +89,10 @@ class Space:
     Cell ``k`` corresponds to the tuple of labels obtained by decoding ``k``
     row-major over the domain sizes (first variable slowest), so the all-first
     tuple has index 0 and the all-last tuple has index ``cell_count - 1``.
-    A space of more than ``SPACE_CELL_CAP`` cells is refused with
-    :class:`~ivprob.errors.EnumerationLimitError`.  Its geometry (names,
-    shape, strides, cell count) is computed once, on first use.
+    numpy's ``ravel_multi_index`` and ``unravel_index`` over ``shape`` encode
+    and decode that order.  A space of more than ``SPACE_CELL_CAP`` cells is
+    refused with :class:`~ivprob.errors.EnumerationLimitError`.  Its geometry
+    (names, shape, cell count) is computed once, on first use.
     """
 
     variables: tuple[Variable, ...]
@@ -125,16 +122,6 @@ class Space:
     def cell_count(self) -> int:
         return math.prod(self.shape)
 
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides: ``index = sum(position[i] * strides[i])``."""
-        out = []
-        acc = 1
-        for size in reversed(self.shape):
-            out.append(acc)
-            acc *= size
-        return tuple(reversed(out))
-
     def variable(self, name: str) -> Variable:
         for v in self.variables:
             if v.name == name:
@@ -148,26 +135,22 @@ class Space:
             raise ValueError(
                 f"expected {len(self.variables)} labels, got {len(labels)}"
             )
-        idx = 0
-        for var, stride, lab in zip(self.variables, self.strides, labels):
+        positions = []
+        for var, lab in zip(self.variables, labels):
             try:
-                pos = var._positions[lab]
-            except (KeyError, TypeError):  # TypeError: an unhashable label
+                positions.append(var.domain.index(lab))
+            except ValueError:
                 raise UnknownVariableError(
                     f"variable {var.name!r} has no value label {lab!r}"
                 ) from None
-            idx += pos * stride
-        return idx
+        return int(np.ravel_multi_index(positions, self.shape))
 
     def cell_tuple(self, index: int) -> tuple[str, ...]:
         """Inverse of :meth:`cell_index`."""
         if not 0 <= index < self.cell_count:
             raise ValueError(f"cell index {index} out of range [0, {self.cell_count})")
-        labels = []
-        for var, stride in zip(self.variables, self.strides):
-            pos, index = divmod(index, stride)
-            labels.append(var.domain[pos])
-        return tuple(labels)
+        positions = np.unravel_index(index, self.shape)
+        return tuple(v.domain[k] for v, k in zip(self.variables, positions))
 
     def cells(self) -> Iterable[tuple[str, ...]]:
         """All cell tuples in canonical order."""
@@ -195,17 +178,11 @@ class Space:
         return _projection_map(self, tuple(names))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def _projection_map(space: Space, names: tuple[str, ...]) -> np.ndarray:
     sub = space.subspace(names)
-    idx = np.arange(space.cell_count)
-    out = np.zeros(space.cell_count, dtype=np.intp)
-    strides = space.strides
-    shape = space.shape
-    positions = {n: i for i, n in enumerate(space.names)}
-    for name, sub_stride in zip(names, sub.strides):
-        k = positions[name]
-        out += ((idx // strides[k]) % shape[k]) * sub_stride
+    positions = np.unravel_index(np.arange(space.cell_count), space.shape)
+    out = np.ravel_multi_index([positions[space.names.index(n)] for n in names], sub.shape)
     out.flags.writeable = False
     return out
 
@@ -291,9 +268,9 @@ class IntervalDistribution:
             raise ValidationError(problems)
         return self
 
-    def to_real(self, atol: float = 0.0) -> "RealDistribution":
-        """Midpoints as a real distribution; fails if any width exceeds ``atol``."""
-        if float(np.max(self.widths)) > atol:
+    def to_real(self) -> "RealDistribution":
+        """Midpoints as a real distribution; fails if any interval has positive width."""
+        if float(np.max(self.widths)) > 0.0:
             raise ValueError("interval distribution is not degenerate")
         return RealDistribution(self.space, (self.lower + self.upper) / 2.0)
 

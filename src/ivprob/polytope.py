@@ -105,7 +105,7 @@ def constraints_from_database(db: Database) -> ConstraintSystem:
     for table in db.tables:
         pm = space.projection_map(table.space.names)
         fibers = pm == np.arange(table.space.cell_count)[:, None]
-        keep = ~((table.lower == 1.0) & (table.upper == 1.0) & fibers.all(axis=1))
+        keep = ~((table.lower == 1.0) & (table.upper == 1.0) & (table.space.cell_count == 1))
         rows.append(fibers[keep])
         row_lower.append(table.lower[keep])
         row_upper.append(table.upper[keep])
